@@ -186,7 +186,7 @@ def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
                 baseline, report, factor=args.rpc_factor
             )
             if problem:
-                print(f"\nprocshard_rpc regression guard FAILED:\n  {problem}")
+                print(f"\nshard channel regression guard FAILED:\n  {problem}")
                 return 1
             print(
                 f"\nrpc guard passed (bytes/op within {args.rpc_factor:g}x "
@@ -584,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--rpc-guard",
         action="store_true",
-        help="exit 1 if the procshard fast channel's bytes/op regressed "
+        help="exit 1 if the process-shard channel's bytes/op regressed "
         "beyond --rpc-factor of the baseline (deterministic metric, "
         "safe to gate CI on)",
     )

@@ -58,8 +58,9 @@ __all__ = [
 class Engine(Protocol):
     """What every concurrency-control manager looks like.
 
-    Structural (duck-typed): the managers do not inherit from this class;
-    they simply provide the surface.  Hosts — the DES server, the
+    Structural (duck-typed): the engines do not inherit from this class;
+    they provide the surface through the shared lifecycle core
+    (:mod:`repro.engine.lifecycle`).  Hosts — the DES server, the
     threaded and asyncio TCP servers, :class:`~repro.runtime.LocalClient`
     — program against this interface only.
     """
@@ -203,7 +204,6 @@ def validate_protocol_options(
     wait_policy: str = "wait",
     shards: int = 1,
     processes: bool = False,
-    shard_rpc: str = "fast",
 ) -> ProtocolSpec:
     """Check one protocol/options combination; all entry points call this.
 
@@ -262,12 +262,6 @@ def validate_protocol_options(
             "combinations are snapshot_cache=True with thread sharding "
             "(processes=False) or process sharding without the cache"
         )
-    if shard_rpc not in ("fast", "legacy"):
-        raise SpecificationError(
-            f"unknown shard_rpc mode {shard_rpc!r}: valid values are "
-            "'fast' (delta sync + batching + binary frames, the default) "
-            "and 'legacy' (per-op full-dump pickle channel)"
-        )
     return spec
 
 
@@ -283,7 +277,6 @@ def create_engine(
     timestamps: TimestampGenerator | None = None,
     shards: int = 1,
     processes: bool | str = False,
-    shard_rpc: str = "fast",
     record_history: bool = False,
 ) -> Engine:
     """Build the engine for ``protocol`` — the one factory every host uses.
@@ -301,14 +294,6 @@ def create_engine(
     core) or cannot fork — the returned engine then carries the reason
     in a ``process_degraded`` attribute.  ``processes="force"`` skips
     the single-core degradation (tests, CI smoke on small containers).
-
-    ``shard_rpc`` selects the parent↔worker channel wire mode of the
-    process-sharded engine: ``"fast"`` (default — delta account sync,
-    op batching and struct-packed binary frames) or ``"legacy"`` (the
-    original per-op full-dump pickle channel, kept as a measurable
-    baseline for ``bench-hotpath``'s ``procshard_rpc`` microbench).
-    The option is validated everywhere but only affects engines that
-    actually run worker processes.
     """
     spec = validate_protocol_options(
         protocol,
@@ -316,7 +301,6 @@ def create_engine(
         wait_policy=wait_policy,
         shards=shards,
         processes=bool(processes),
-        shard_rpc=shard_rpc,
     )
     if shards > 1 and processes:
         from repro.engine.procshard import (
@@ -338,7 +322,6 @@ def create_engine(
                 wait_policy=wait_policy,
                 metrics=metrics,
                 timestamps=timestamps,
-                shard_rpc=shard_rpc,
                 record_history=record_history,
             )
         engine = ShardedEngine(

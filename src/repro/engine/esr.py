@@ -14,8 +14,8 @@ lets it read the staged value immediately, charging the distance to the
 proper value.
 
 **Case 3 — late write past a query read.**  An update's write arrives with
-a timestamp older than the object's read timestamp, where that read came
-from a query ET.  SR rejects it; ESR lets the write proceed, charging the
+a timestamp older than the object's read timestamp, where every newer read
+came from a query ET.  SR rejects it; ESR lets the write proceed, charging the
 update's export account with the divergence this write exports to the
 still-uncommitted query readers of the object (maximum over readers under
 the paper's policy).
@@ -165,14 +165,15 @@ def esr_write_decision(
             ),
         )
     if txn.timestamp < obj.read_ts:
-        if not obj.last_reader_was_query:
-            # The newer read came from an update ET; update reads are
-            # consistent, so this conflict cannot be relaxed.
+        if txn.timestamp < obj.update_read_ts:
+            # A newer read came from an update ET; update reads are
+            # consistent (its writes depend on them), so this conflict
+            # cannot be relaxed — even behind a still newer query read.
             return Rejected(
                 REASON_LATE_WRITE,
                 detail=(
                     f"write ts {txn.timestamp} is older than an update-ET "
-                    f"read ts {obj.read_ts} on object {obj.object_id}"
+                    f"read ts {obj.update_read_ts} on object {obj.object_id}"
                 ),
             )
         # Case 3: the write would export inconsistency to the concurrent

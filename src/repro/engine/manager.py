@@ -19,37 +19,34 @@ Protocols: ``"esr"`` runs the enhanced decisions of
 :mod:`repro.engine.esr`; ``"sr"`` runs the plain strict-TSO baseline.
 ESR with all bounds at zero admits only zero-divergence relaxations and is
 behaviourally the SR case of the paper's experiments.
+
+The lifecycle (begin, commit, abort, completion effects) is the shared
+:class:`~repro.engine.lifecycle.ManagerCore`; this module is the TSO
+admission policy on top of it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.core.bounds import EpsilonLevel, TransactionBounds
 from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.database import Database
 from repro.engine.esr import esr_read_decision, esr_write_decision
 from repro.engine.history import HistoryRecorder
+from repro.engine.lifecycle import ManagerCore
 from repro.engine.metrics import MetricsCollector
-from repro.engine.reasons import REASON_CLIENT_ABORT, REASON_CONFLICT_ABORT
+from repro.engine.reasons import REASON_CONFLICT_ABORT
 from repro.engine.results import Granted, MustWait, Outcome, Rejected
-from repro.engine.scheduler import WaitRegistry
 from repro.engine.snapshot import SnapshotStore, snapshot_read
-from repro.engine.timestamps import Timestamp, TimestampGenerator
-from repro.engine.transactions import (
-    TransactionKind,
-    TransactionState,
-    TransactionStatus,
-)
+from repro.engine.timestamps import TimestampGenerator
+from repro.engine.transactions import TransactionState
 from repro.engine.tso import sr_read_decision, sr_write_decision
-from repro.errors import InvalidOperation, SpecificationError
+from repro.errors import SpecificationError
 
 __all__ = ["PROTOCOLS", "TransactionManager"]
 
 PROTOCOLS = ("esr", "sr")
 
 
-class TransactionManager:
+class TransactionManager(ManagerCore):
     """Coordinates transactions over one :class:`Database`."""
 
     def __init__(
@@ -73,7 +70,13 @@ class TransactionManager:
             raise SpecificationError(
                 f"unknown wait policy {wait_policy!r}; choose 'wait' or 'abort'"
             )
-        self.database = database
+        super().__init__(
+            database,
+            metrics=metrics,
+            timestamps=timestamps,
+            recorder=recorder,
+            record_history=record_history,
+        )
         self.protocol = protocol
         #: The paper enforces strict ordering "by using a wait based
         #: protocol for concurrent operations that are not able to
@@ -84,85 +87,14 @@ class TransactionManager:
         self.wait_policy = wait_policy
         self.distance = distance
         self.export_policy = export_policy
-        #: The unified history seam: every decision is reported here and
-        #: the metrics totals are *derived* from those reports (see
-        #: :mod:`repro.engine.history`).  A sharded composite hands each
-        #: inner engine a shard-tagged view of its shared recorder.
-        if recorder is not None:
-            self.recorder = recorder
-        else:
-            self.recorder = HistoryRecorder(metrics, record=record_history)
-        self.metrics = self.recorder.metrics
-        self.waits = WaitRegistry()
-        self._timestamps = timestamps if timestamps is not None else TimestampGenerator()
-        self._next_id = 1
-        self._active: dict[int, TransactionState] = {}
         #: Opt-in snapshot read cache (ESR only): committed state is
         #: published beside the live objects so bounded-staleness query
         #: reads can be served via :meth:`read_cached` without the full
         #: engine decision path (and, in the servers, without the engine
         #: critical section).
         if snapshot_cache and protocol == "esr":
-            self.snapshot: SnapshotStore | None = SnapshotStore(
-                database.catalog, distance
-            )
+            self.snapshot = SnapshotStore(database.catalog, distance)
             self.snapshot.bootstrap(database)
-        else:
-            self.snapshot = None
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def begin(
-        self,
-        kind: TransactionKind | str,
-        bounds: TransactionBounds | EpsilonLevel | None = None,
-        timestamp: Timestamp | None = None,
-        group_limits: Mapping[str, float] | None = None,
-        object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
-    ) -> TransactionState:
-        """Start a transaction; assigns its id and (if needed) timestamp.
-
-        ``allow_inconsistent_reads`` opts an *update* ET into importing
-        inconsistency against its import limit (an extension beyond the
-        paper, whose update ETs are always consistent); it has no effect
-        on queries, which always import.
-        """
-        if isinstance(kind, str):
-            kind = TransactionKind(kind.lower())
-        if bounds is None:
-            bounds = TransactionBounds()
-        elif isinstance(bounds, EpsilonLevel):
-            bounds = bounds.transaction
-        if timestamp is None:
-            timestamp = self._timestamps.next()
-        txn = TransactionState(
-            transaction_id=self._next_id,
-            kind=kind,
-            timestamp=timestamp,
-            bounds=bounds,
-            catalog=self.database.catalog,
-            group_limits=group_limits,
-            object_limits=object_limits,
-            allow_inconsistent_reads=allow_inconsistent_reads,
-        )
-        self._next_id += 1
-        self._active[txn.transaction_id] = txn
-        self.recorder.begin(txn)
-        return txn
-
-    def adopt(self, txn: TransactionState) -> None:
-        """Register an externally-built transaction as active here.
-
-        Used by :class:`~repro.engine.sharded.ShardedEngine`, which
-        allocates transaction ids and timestamps globally and hands each
-        shard a sibling :class:`TransactionState` sharing the global
-        transaction's accounts.
-        """
-        self._active[txn.transaction_id] = txn
-
-    def active_transactions(self) -> tuple[TransactionState, ...]:
-        return tuple(self._active.values())
 
     # -- operations -----------------------------------------------------------------
 
@@ -179,23 +111,8 @@ class TransactionManager:
             proper = (
                 obj.proper_value_for(txn.timestamp) if txn.is_query else 0.0
             )
-            obj.record_read(
-                txn.transaction_id, txn.timestamp, txn.is_query, proper
-            )
-            txn.read_set.add(object_id)
-            txn.operations += 1
-            if outcome.esr_case is not None:
-                txn.inconsistent_operations += 1
-            if txn.import_account is not None and outcome.value is not None:
-                txn.import_account.observe_value(object_id, outcome.value)
-            self.recorder.read(txn, object_id, outcome)
-        elif isinstance(outcome, MustWait):
-            self.recorder.wait(
-                txn, "read", object_id, outcome.blocking_transaction
-            )
-        else:
-            self._reject(txn, "read", object_id, outcome)
-        return outcome
+            return self._granted_read(txn, obj, outcome, proper)
+        return self._refused(txn, "read", object_id, outcome)
 
     def read_cached(self, txn: TransactionState, object_id: int) -> Granted | None:
         """Try to serve a query read from the snapshot cache.
@@ -221,12 +138,7 @@ class TransactionManager:
 
     def write(self, txn: TransactionState, object_id: int, value: float) -> Outcome:
         """Submit a Write; stages it on success, aborts on rejection."""
-        txn.require_active()
-        if not txn.is_update:
-            raise InvalidOperation(
-                f"query transaction {txn.transaction_id} cannot write",
-                txn.transaction_id,
-            )
+        self._require_update(txn)
         obj = self.database.get(object_id)
         if self.protocol == "esr":
             outcome = esr_write_decision(
@@ -236,21 +148,8 @@ class TransactionManager:
             outcome = sr_write_decision(obj, txn)
         outcome = self._apply_wait_policy(outcome)
         if isinstance(outcome, Granted):
-            obj.stage_write(txn.transaction_id, txn.timestamp, value)
-            if self.snapshot is not None:
-                self.snapshot.note_pending(obj)
-            txn.write_set.add(object_id)
-            txn.operations += 1
-            if outcome.esr_case is not None:
-                txn.inconsistent_operations += 1
-            self.recorder.write(txn, object_id, value, outcome)
-        elif isinstance(outcome, MustWait):
-            self.recorder.wait(
-                txn, "write", object_id, outcome.blocking_transaction
-            )
-        else:
-            self._reject(txn, "write", object_id, outcome)
-        return outcome
+            return self._granted_write(txn, obj, value, outcome)
+        return self._refused(txn, "write", object_id, outcome)
 
     def _apply_wait_policy(self, outcome: Outcome) -> Outcome:
         """Under the ``"abort"`` policy, conflicts abort instead of waiting."""
@@ -264,93 +163,6 @@ class TransactionManager:
                 ),
             )
         return outcome
-
-    def _reject(
-        self,
-        txn: TransactionState,
-        op: str,
-        object_id: int | None,
-        outcome: Rejected,
-    ) -> None:
-        self.recorder.rejection(txn, op, object_id, outcome)
-        self._finish(txn, TransactionStatus.ABORTED, outcome.reason)
-
-    # -- completion ------------------------------------------------------------------
-
-    def commit(self, txn: TransactionState) -> None:
-        """Commit: promote staged writes, release readers, wake waiters."""
-        txn.require_active()
-        self._promote(txn)
-        self.recorder.commit(txn)
-        self._finish(txn, TransactionStatus.COMMITTED, None)
-
-    def _promote(self, txn: TransactionState) -> None:
-        """Promote staged writes to committed state (the commit effects)."""
-        for object_id in txn.write_set:
-            obj = self.database.get(object_id)
-            obj.commit_write()
-            if self.snapshot is not None:
-                self.snapshot.publish(obj)
-
-    def complete(
-        self,
-        txn: TransactionState,
-        status: TransactionStatus,
-        reason: str | None = None,
-    ) -> None:
-        """Apply a completion decided elsewhere, without recording metrics.
-
-        The sharded composite decides commit/abort once globally and then
-        completes each shard's sibling through this hook: state effects
-        (write promotion or shadow restore, reader release, lock release,
-        wait wake-ups) happen per shard, while commit/abort counters are
-        recorded exactly once by the composite.
-        """
-        if status is TransactionStatus.COMMITTED:
-            self._promote(txn)
-        self._finish(txn, status, reason, record=False)
-
-    def abort(
-        self, txn: TransactionState, reason: str = REASON_CLIENT_ABORT
-    ) -> None:
-        """Abort: restore shadow values, release readers, wake waiters.
-
-        Idempotent for transactions the manager already aborted (a
-        rejection auto-aborts; a client calling ``abort`` afterwards is a
-        no-op).  Aborting a committed transaction is an error.
-        """
-        if txn.status is TransactionStatus.ABORTED:
-            return
-        if txn.status is TransactionStatus.COMMITTED:
-            raise InvalidOperation(
-                f"cannot abort committed transaction {txn.transaction_id}",
-                txn.transaction_id,
-            )
-        self._finish(txn, TransactionStatus.ABORTED, reason)
-
-    def _finish(
-        self,
-        txn: TransactionState,
-        status: TransactionStatus,
-        reason: str | None,
-        record: bool = True,
-    ) -> None:
-        if status is TransactionStatus.ABORTED:
-            for object_id in txn.write_set:
-                obj = self.database.get(object_id)
-                if obj.writer_id == txn.transaction_id:
-                    obj.abort_write()
-                    if self.snapshot is not None:
-                        self.snapshot.clear_pending(obj)
-            txn.abort_reason = reason
-            if record:
-                self.recorder.abort(txn, reason)
-        if txn.is_query:
-            for object_id in txn.read_set:
-                self.database.get(object_id).forget_reader(txn.transaction_id)
-        txn.status = status
-        self._active.pop(txn.transaction_id, None)
-        self.waits.fire(txn.transaction_id)
 
     def __repr__(self) -> str:
         return (

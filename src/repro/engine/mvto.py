@@ -35,13 +35,11 @@ comparison benchmark measures both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
-from repro.core.bounds import EpsilonLevel, TransactionBounds
 from repro.engine.database import Database
 from repro.engine.history import HistoryRecorder
+from repro.engine.lifecycle import ManagerCore
 from repro.engine.metrics import MetricsCollector
-from repro.engine.reasons import REASON_CLIENT_ABORT
 from repro.engine.results import (
     Granted,
     MustWait,
@@ -49,14 +47,9 @@ from repro.engine.results import (
     Rejected,
     REASON_LATE_WRITE,
 )
-from repro.engine.scheduler import WaitRegistry
 from repro.engine.timestamps import GENESIS, Timestamp, TimestampGenerator
-from repro.engine.transactions import (
-    TransactionKind,
-    TransactionState,
-    TransactionStatus,
-)
-from repro.errors import InvalidOperation, UnknownObjectError
+from repro.engine.transactions import TransactionState
+from repro.errors import UnknownObjectError
 
 __all__ = ["MVTOManager"]
 
@@ -114,15 +107,18 @@ class _MVObject:
         return self.versions[-1].value
 
 
-class MVTOManager:
+class MVTOManager(ManagerCore):
     """Multi-version timestamp ordering over one :class:`Database`.
 
     Interface-compatible with the TSO and 2PL managers.  Transaction
     bounds are accepted and ignored — MVTO is a serializable system; it
-    needs no epsilon.  The manager keeps its own version store seeded
-    from the database and writes committed values back through the
-    database objects so snapshots remain coherent.
+    needs no epsilon, never charges a ledger, and so commits with zero
+    imported/exported divergence.  The manager keeps its own version
+    store seeded from the database and writes committed values back
+    through the database objects so snapshots remain coherent.
     """
+
+    _inconsistent_reads = False
 
     def __init__(
         self,
@@ -132,22 +128,15 @@ class MVTOManager:
         recorder: HistoryRecorder | None = None,
         record_history: bool = False,
     ):
-        self.database = database
+        super().__init__(
+            database,
+            metrics=metrics,
+            timestamps=timestamps,
+            recorder=recorder,
+            record_history=record_history,
+        )
         #: Registry name (see :mod:`repro.engine.api`).
         self.protocol = "mvto"
-        #: No snapshot read cache — MVTO's version store is its own cache.
-        self.snapshot = None
-        if recorder is not None:
-            self.recorder = recorder
-        else:
-            self.recorder = HistoryRecorder(metrics, record=record_history)
-        self.metrics = self.recorder.metrics
-        self.waits = WaitRegistry()
-        self._timestamps = (
-            timestamps if timestamps is not None else TimestampGenerator()
-        )
-        self._next_id = 1
-        self._active: dict[int, TransactionState] = {}
         self._store: dict[int, _MVObject] = {
             object_id: _MVObject(database.get(object_id).committed_value)
             for object_id in database.object_ids()
@@ -158,50 +147,6 @@ class MVTOManager:
             return self._store[object_id]
         except KeyError:
             raise UnknownObjectError(f"no object with id {object_id}") from None
-
-    # -- lifecycle ------------------------------------------------------------------
-
-    def begin(
-        self,
-        kind: TransactionKind | str,
-        bounds: TransactionBounds | EpsilonLevel | None = None,
-        timestamp: Timestamp | None = None,
-        group_limits: Mapping[str, float] | None = None,
-        object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
-    ) -> TransactionState:
-        if isinstance(kind, str):
-            kind = TransactionKind(kind.lower())
-        if bounds is None:
-            bounds = TransactionBounds()
-        elif isinstance(bounds, EpsilonLevel):
-            bounds = bounds.transaction
-        if timestamp is None:
-            timestamp = self._timestamps.next()
-        txn = TransactionState(
-            transaction_id=self._next_id,
-            kind=kind,
-            timestamp=timestamp,
-            bounds=bounds,
-            catalog=self.database.catalog,
-            group_limits=group_limits,
-            object_limits=object_limits,
-        )
-        self._next_id += 1
-        self._active[txn.transaction_id] = txn
-        self.recorder.begin(txn)
-        return txn
-
-    def adopt(self, txn: TransactionState) -> None:
-        """Register an externally-built transaction (sharding hook)."""
-        self._active[txn.transaction_id] = txn
-
-    def active_transactions(self) -> tuple[TransactionState, ...]:
-        return tuple(self._active.values())
-
-    def read_cached(self, txn: TransactionState, object_id: int) -> None:
-        """No snapshot cache on MVTO — always fall back to :meth:`read`."""
-        return None
 
     # -- operations -------------------------------------------------------------------
 
@@ -229,40 +174,42 @@ class MVTOManager:
         return outcome
 
     def write(self, txn: TransactionState, object_id: int, value: float) -> Outcome:
-        txn.require_active()
-        if not txn.is_update:
-            raise InvalidOperation(
-                f"query transaction {txn.transaction_id} cannot write",
-                txn.transaction_id,
-            )
+        self._require_update(txn)
         obj = self._object(object_id)
         if obj.writer_id is not None and obj.writer_id != txn.transaction_id:
             if txn.timestamp > obj.staged_wts:
-                self.recorder.wait(txn, "write", object_id, obj.writer_id)
-                return MustWait(obj.writer_id)
-            outcome = Rejected(
-                REASON_LATE_WRITE,
-                detail=(
-                    f"write ts {txn.timestamp} is older than pending write "
-                    f"ts {obj.staged_wts} on object {object_id}"
+                return self._refused(
+                    txn, "write", object_id, MustWait(obj.writer_id)
+                )
+            return self._refused(
+                txn,
+                "write",
+                object_id,
+                Rejected(
+                    REASON_LATE_WRITE,
+                    detail=(
+                        f"write ts {txn.timestamp} is older than pending "
+                        f"write ts {obj.staged_wts} on object {object_id}"
+                    ),
                 ),
             )
-            self._reject(txn, object_id, outcome)
-            return outcome
         predecessor = obj.version_for(txn.timestamp)
         if predecessor.rts > txn.timestamp:
             # A newer reader already observed the predecessor: installing
             # this version would retroactively invalidate that read.
-            outcome = Rejected(
-                REASON_LATE_WRITE,
-                detail=(
-                    f"version of object {object_id} read at "
-                    f"{predecessor.rts} cannot be superseded by write ts "
-                    f"{txn.timestamp}"
+            return self._refused(
+                txn,
+                "write",
+                object_id,
+                Rejected(
+                    REASON_LATE_WRITE,
+                    detail=(
+                        f"version of object {object_id} read at "
+                        f"{predecessor.rts} cannot be superseded by write ts "
+                        f"{txn.timestamp}"
+                    ),
                 ),
             )
-            self._reject(txn, object_id, outcome)
-            return outcome
         obj.writer_id = txn.transaction_id
         obj.staged_wts = txn.timestamp
         obj.staged_value = float(value)
@@ -272,19 +219,7 @@ class MVTOManager:
         self.recorder.write(txn, object_id, value, outcome)
         return outcome
 
-    def _reject(
-        self, txn: TransactionState, object_id: int, outcome: Rejected
-    ) -> None:
-        self.recorder.rejection(txn, "write", object_id, outcome)
-        self._finish(txn, TransactionStatus.ABORTED, outcome.reason)
-
-    # -- completion -------------------------------------------------------------------
-
-    def commit(self, txn: TransactionState) -> None:
-        txn.require_active()
-        self._promote(txn)
-        self.recorder.commit(txn, imported=0.0, exported=0.0)
-        self._finish(txn, TransactionStatus.COMMITTED, None)
+    # -- effect hooks -----------------------------------------------------------------
 
     def _promote(self, txn: TransactionState) -> None:
         for object_id in txn.write_set:
@@ -299,47 +234,11 @@ class MVTOManager:
             db_obj.stage_write(txn.transaction_id, obj.staged_wts, obj.latest_value)
             db_obj.commit_write()
 
-    def complete(
-        self,
-        txn: TransactionState,
-        status: TransactionStatus,
-        reason: str | None = None,
-    ) -> None:
-        """Apply a completion decided by the sharded composite (no metrics)."""
-        if status is TransactionStatus.COMMITTED:
-            self._promote(txn)
-        self._finish(txn, status, reason, record=False)
-
-    def abort(
-        self, txn: TransactionState, reason: str = REASON_CLIENT_ABORT
-    ) -> None:
-        if txn.status is TransactionStatus.ABORTED:
-            return
-        if txn.status is TransactionStatus.COMMITTED:
-            raise InvalidOperation(
-                f"cannot abort committed transaction {txn.transaction_id}",
-                txn.transaction_id,
-            )
-        self._finish(txn, TransactionStatus.ABORTED, reason)
-
-    def _finish(
-        self,
-        txn: TransactionState,
-        status: TransactionStatus,
-        reason: str | None,
-        record: bool = True,
-    ) -> None:
-        if status is TransactionStatus.ABORTED:
-            for object_id in txn.write_set:
-                obj = self._object(object_id)
-                if obj.writer_id == txn.transaction_id:
-                    obj.writer_id = None
-            txn.abort_reason = reason
-            if record:
-                self.recorder.abort(txn, reason)
-        txn.status = status
-        self._active.pop(txn.transaction_id, None)
-        self.waits.fire(txn.transaction_id)
+    def _rollback(self, txn: TransactionState) -> None:
+        for object_id in txn.write_set:
+            obj = self._object(object_id)
+            if obj.writer_id == txn.transaction_id:
+                obj.writer_id = None
 
     def __repr__(self) -> str:
         return (

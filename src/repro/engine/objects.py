@@ -6,8 +6,9 @@ needs (paper sections 5 and 6):
 * its **present value** — the current in-memory value, which is the
   uncommitted value while an update transaction's write is pending (the
   prototype writes in place, keeping a shadow copy for abort restore);
-* ``rts`` — the newest read timestamp, plus whether that read came from a
-  query ET (Figure 3's case 3 applies only then);
+* ``rts`` — the newest read timestamp, plus the newest read timestamp of
+  an *update* ET (Figure 3's case 3 relaxes a late write only past query
+  reads; a write older than an update read is rejected);
 * ``wts`` — the newest *committed* write timestamp, and the identity and
   timestamp of the pending uncommitted write, if any;
 * a bounded **version list** of the last ``N`` committed writes (the paper
@@ -51,7 +52,7 @@ class DataObject:
         "committed_value",
         "committed_write_ts",
         "read_ts",
-        "last_reader_was_query",
+        "update_read_ts",
         "writer_id",
         "writer_ts",
         "uncommitted_value",
@@ -72,7 +73,7 @@ class DataObject:
         self.committed_value = float(value)
         self.committed_write_ts: Timestamp = GENESIS
         self.read_ts: Timestamp = GENESIS
-        self.last_reader_was_query = False
+        self.update_read_ts: Timestamp = GENESIS
         # Pending uncommitted write, if any.
         self.writer_id: int | None = None
         self.writer_ts: Timestamp = GENESIS
@@ -136,9 +137,10 @@ class DataObject:
         """Update read timestamp state and the query-reader registry."""
         if timestamp > self.read_ts:
             self.read_ts = timestamp
-            self.last_reader_was_query = is_query
         if is_query:
             self.query_readers[transaction_id] = proper_value
+        elif timestamp > self.update_read_ts:
+            self.update_read_ts = timestamp
 
     def forget_reader(self, transaction_id: int) -> None:
         """Drop a query from the reader registry (on commit or abort)."""

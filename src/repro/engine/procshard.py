@@ -18,9 +18,9 @@ decision charges only the *operating* transaction's own account, and one
 transaction's operations are serialised by its client connection (the
 threaded server runs a connection on one handler thread; the asyncio
 server pins a connection to one dispatch lane).  So the account state
-can travel with the operation.  The original channel shipped the *full*
-canonical account dump both ways on every op; the current fast path
-(``shard_rpc="fast"``, the default) replaces that with three layers:
+can travel with the operation.  Shipping the *full* canonical account
+dump both ways on every op would make the channel cost grow with the
+transaction, so the channel is built from three layers:
 
 1. **Delta account sync.**  The parent versions each transaction's
    canonical account state and remembers which version every shard
@@ -54,9 +54,8 @@ canonical account dump both ways on every op; the current fast path
    :class:`~repro.errors.ShardChannelError` rather than bare
    struct/pickle errors.
 
-``shard_rpc="legacy"`` keeps the original per-op full-dump pickle
-channel alive for comparison; ``bench-hotpath``'s ``procshard_rpc``
-microbench measures both (ops/s, bytes/op, batch occupancy).
+``bench-hotpath``'s ``shard_channel`` microbench measures the channel
+(ops/s, bytes/op, batch occupancy).
 
 Commit/abort is decided once by the parent and fanned out as complete
 items (which ride the same batch frames); each worker applies the usual
@@ -115,7 +114,6 @@ from collections import deque
 from typing import Callable, Mapping
 
 from repro.core.bounds import EpsilonLevel, TransactionBounds
-from repro.core.hierarchy import ROOT_GROUP
 from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.api import (
     build_unsharded,
@@ -124,11 +122,9 @@ from repro.engine.api import (
 )
 from repro.engine.database import Database
 from repro.engine.history import HistoryRecorder
+from repro.engine.lifecycle import EngineCore
 from repro.engine.metrics import MetricsCollector
-from repro.engine.reasons import (
-    REASON_CLIENT_ABORT,
-    REASON_SHARD_FAILOVER,
-)
+from repro.engine.reasons import REASON_SHARD_FAILOVER
 from repro.engine.results import (
     CASE_LATE_READ,
     CASE_LATE_WRITE,
@@ -145,6 +141,7 @@ from repro.engine.sharded import (
     _LockedMetrics,
     _SharedWaitRegistry,
     absorb_granted,
+    shard_sibling,
 )
 from repro.engine.timestamps import Timestamp, TimestampGenerator
 from repro.engine.transactions import (
@@ -160,14 +157,7 @@ __all__ = [
     "ProcessShardedEngine",
     "process_sharding_unavailable",
     "REASON_SHARD_FAILOVER",
-    "SHARD_RPC_MODES",
 ]
-
-#: The shard-channel wire modes ``create_engine(..., shard_rpc=...)``
-#: accepts: ``"fast"`` (delta sync + batching + binary frames) and
-#: ``"legacy"`` (the original per-op full-dump pickle channel, kept so
-#: the fast path has a measurable baseline).
-SHARD_RPC_MODES = ("fast", "legacy")
 
 # -- wire format ---------------------------------------------------------------
 #
@@ -193,7 +183,6 @@ _FT_BATCH = 0x01  # parent -> worker: op/complete items
 _FT_BATCH_REPLY = 0x02  # worker -> parent: one reply per item
 _FT_NOTE = 0x03  # parent -> worker: wait_note / wakeup / shutdown
 _FT_ERROR = 0x04  # worker -> parent: typed refusal (frame not executed)
-_FT_PICKLE = 0x0F  # the tagged pickle long tail (legacy rpc mode)
 
 _NOTE_WAIT = 0
 _NOTE_WAKEUP = 1
@@ -569,10 +558,11 @@ def _build_sibling(
     return sibling
 
 
-def _sibling_has_import(sibling: TransactionState) -> bool:
+def _has_import(txn: TransactionState) -> bool:
+    """Whether ``txn`` carries an import account besides its own account."""
     return (
-        sibling.import_account is not None
-        and sibling.import_account is not sibling.account
+        txn.import_account is not None
+        and txn.import_account is not txn.account
     )
 
 
@@ -591,7 +581,7 @@ def _handle_op_item(
             # of this shard was dropped); ask for a full re-send.
             return ("resync", versions.get(txn_id))
         sibling = _build_sibling(engine, descriptor, siblings)
-    has_import = _sibling_has_import(sibling)
+    has_import = _has_import(sibling)
     tag = sync_in[0]
     held = versions.get(txn_id)
     if tag == "none":
@@ -631,28 +621,6 @@ def _handle_op_item(
     if txn_id not in siblings:
         versions.pop(txn_id, None)
     return ("ok", outcome, sync_out)
-
-
-def _handle_legacy_op(engine, siblings: dict[int, TransactionState], payload):
-    """The original channel: full account dumps both ways, every op."""
-    txn_id, descriptor, op, object_id, value, account_state, import_state = (
-        payload
-    )
-    sibling = siblings.get(txn_id)
-    if sibling is None:
-        sibling = _build_sibling(engine, descriptor, siblings)
-    sibling.account.load_state(account_state)
-    has_import = _sibling_has_import(sibling)
-    if import_state is not None and has_import:
-        sibling.import_account.load_state(import_state)
-    if op == "read":
-        outcome = engine.read(sibling, object_id)
-    else:
-        outcome = engine.write(sibling, object_id, value)
-    if not sibling.is_active:
-        siblings.pop(txn_id, None)
-    import_dump = sibling.import_account.dump_state() if has_import else None
-    return (outcome, sibling.account.dump_state(), import_dump)
 
 
 def _handle_complete(
@@ -788,59 +756,6 @@ def _worker_main(
                 elif sub == _NOTE_WAKEUP:
                     engine.waits.fire(a)
                 else:
-                    return
-            elif ftype == _FT_PICKLE:
-                try:
-                    frame = pickle.loads(payload)
-                except Exception as exc:
-                    _send_frame(
-                        sock,
-                        _FT_ERROR,
-                        pickle.dumps(
-                            ProtocolError(f"undecodable pickle frame: {exc}"),
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        ),
-                    )
-                    continue
-                kind = frame[0]
-                if kind == "op":
-                    try:
-                        reply = (
-                            "ok",
-                            _handle_legacy_op(engine, siblings, frame[1]),
-                        )
-                    except Exception as exc:
-                        reply = ("err", exc)
-                    _send_frame(
-                        sock,
-                        _FT_PICKLE,
-                        pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL),
-                    )
-                elif kind == "complete":
-                    try:
-                        reply = (
-                            "ok",
-                            _handle_complete(
-                                engine,
-                                siblings,
-                                versions,
-                                frame[1],
-                                frame[2],
-                                frame[3],
-                            ),
-                        )
-                    except Exception as exc:
-                        reply = ("err", exc)
-                    _send_frame(
-                        sock,
-                        _FT_PICKLE,
-                        pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL),
-                    )
-                elif kind == "wait_note":
-                    engine.waits.note(frame[1], frame[2])
-                elif kind == "wakeup":
-                    engine.waits.fire(frame[1])
-                elif kind == "shutdown":
                     return
             else:
                 _send_frame(
@@ -989,33 +904,6 @@ class _WorkerChannel:
         for call, reply in zip(calls, replies):
             call.reply = reply
             call.event.set()
-
-    def request_legacy(self, frame: object):
-        """The original per-op pickle round-trip (``shard_rpc="legacy"``)."""
-        with self.lock:
-            if self.closed:
-                raise EOFError("shard channel closed")
-            _send_frame(
-                self.sock,
-                _FT_PICKLE,
-                pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-            ftype, payload = _recv_typed(self.sock, shard=self.shard, pending=1)
-            if ftype == _FT_ERROR:
-                raise pickle.loads(payload)
-            if ftype != _FT_PICKLE:
-                raise ShardChannelError(
-                    f"unexpected shard reply frame type {ftype}", self.shard, 1
-                )
-            try:
-                reply = pickle.loads(payload)
-            except Exception as exc:
-                raise ShardChannelError(
-                    f"undecodable legacy reply: {exc}", self.shard, 1
-                ) from exc
-            _perf.rpc_ops += 1
-            _perf.rpc_round_trips += 1
-            return reply
 
     def post_note(self, sub: int, a: int = 0, b: int = 0) -> None:
         with self.lock:
@@ -1183,7 +1071,7 @@ class _TxnSync:
         self.pending: dict[int, object] = {}
 
 
-class ProcessShardedEngine:
+class ProcessShardedEngine(EngineCore):
     """N per-shard engines in worker processes behind the one
     :class:`~repro.engine.api.Engine` interface."""
 
@@ -1203,7 +1091,6 @@ class ProcessShardedEngine:
         snapshot_cache: bool = False,
         metrics: MetricsCollector | None = None,
         timestamps: TimestampGenerator | None = None,
-        shard_rpc: str = "fast",
         recorder: HistoryRecorder | None = None,
         record_history: bool = False,
     ):
@@ -1213,31 +1100,22 @@ class ProcessShardedEngine:
             wait_policy=wait_policy,
             shards=shards,
             processes=True,
-            shard_rpc=shard_rpc,
         )
-        self.database = database
+        # No snapshot cache in process mode (see module docstring): the
+        # inherited ``snapshot`` stays None.
+        super().__init__(
+            database,
+            metrics=metrics if metrics is not None else _LockedMetrics(),
+            timestamps=timestamps,
+            recorder=recorder,
+            record_history=record_history,
+        )
         self.protocol = protocol
         self.shards = shards
         self.wait_policy = wait_policy
         self.export_policy = export_policy
         self.distance = distance
-        self.shard_rpc = shard_rpc
-        if recorder is not None:
-            self.recorder = recorder
-        else:
-            self.recorder = HistoryRecorder(
-                metrics if metrics is not None else _LockedMetrics(),
-                record=record_history,
-            )
-        self.metrics = self.recorder.metrics
-        #: No snapshot cache in process mode (see module docstring).
-        self.snapshot = None
-        self._timestamps = (
-            timestamps if timestamps is not None else TimestampGenerator()
-        )
-        self._next_id = 1
         self._txn_lock = threading.Lock()
-        self._active: dict[int, TransactionState] = {}
         #: Global txn id -> shards it has operated on (completion fan-out).
         self._touched: dict[int, set[int]] = {}
         #: Global txn id -> delta-sync bookkeeping (descriptor, canonical
@@ -1347,33 +1225,25 @@ class ProcessShardedEngine:
         object_limits: Mapping[int, float] | None = None,
         allow_inconsistent_reads: bool = False,
     ) -> TransactionState:
-        if isinstance(kind, str):
-            kind = TransactionKind(kind.lower())
-        if bounds is None:
-            bounds = TransactionBounds()
-        elif isinstance(bounds, EpsilonLevel):
-            bounds = bounds.transaction
         with self._txn_lock:
-            if timestamp is None:
-                timestamp = self._timestamps.next()
-            txn = TransactionState(
-                transaction_id=self._next_id,
-                kind=kind,
-                timestamp=timestamp,
-                bounds=bounds,
-                catalog=self.database.catalog,
-                group_limits=group_limits,
-                object_limits=object_limits,
-                allow_inconsistent_reads=allow_inconsistent_reads,
+            txn = self._new_transaction(
+                kind,
+                bounds,
+                timestamp,
+                group_limits,
+                object_limits,
+                allow_inconsistent_reads,
             )
-            self._next_id += 1
-            self._register(
-                txn,
+            txn_id = txn.transaction_id
+            self._active[txn_id] = txn
+            self._touched[txn_id] = set()
+            # What a worker needs to build its sibling on first touch.
+            self._sync[txn_id] = _TxnSync(
                 {
-                    "transaction_id": txn.transaction_id,
-                    "kind": kind.value,
-                    "timestamp": timestamp,
-                    "bounds": bounds,
+                    "transaction_id": txn_id,
+                    "kind": txn.kind.value,
+                    "timestamp": txn.timestamp,
+                    "bounds": txn.bounds,
                     "group_limits": (
                         dict(group_limits) if group_limits is not None else None
                     ),
@@ -1383,42 +1253,11 @@ class ProcessShardedEngine:
                         else None
                     ),
                     "allow_inconsistent_reads": allow_inconsistent_reads,
-                },
+                }
             )
+            self._siblings[txn_id] = {}
         self.recorder.begin(txn)
         return txn
-
-    def adopt(self, txn: TransactionState) -> None:
-        """Register an externally-built transaction as globally active."""
-        group_limits = {
-            level: limit
-            for level, (_usage, limit) in txn.account.level_snapshot().items()
-            if level != ROOT_GROUP
-        }
-        with self._txn_lock:
-            self._register(
-                txn,
-                {
-                    "transaction_id": txn.transaction_id,
-                    "kind": txn.kind.value,
-                    "timestamp": txn.timestamp,
-                    "bounds": txn.bounds,
-                    "group_limits": group_limits or None,
-                    "object_limits": dict(txn.object_limits) or None,
-                    "allow_inconsistent_reads": (
-                        txn.is_update and txn.import_account is not None
-                    ),
-                },
-            )
-
-    def _register(self, txn: TransactionState, descriptor: dict) -> None:
-        self._active[txn.transaction_id] = txn
-        self._touched[txn.transaction_id] = set()
-        self._sync[txn.transaction_id] = _TxnSync(descriptor)
-        self._siblings[txn.transaction_id] = {}
-
-    def active_transactions(self) -> tuple[TransactionState, ...]:
-        return tuple(self._active.values())
 
     # -- operations -------------------------------------------------------------
 
@@ -1430,27 +1269,9 @@ class ProcessShardedEngine:
     def write(
         self, txn: TransactionState, object_id: int, value: float
     ) -> Outcome:
-        txn.require_active()
-        if not txn.is_update:
-            raise InvalidOperation(
-                f"query transaction {txn.transaction_id} cannot write",
-                txn.transaction_id,
-            )
+        self._require_update(txn)
         self.database.get(object_id)
         return self._operate(txn, "write", object_id, float(value))
-
-    def read_cached(
-        self, txn: TransactionState, object_id: int
-    ) -> Granted | None:
-        """No snapshot cache in process mode — always fall back."""
-        return None
-
-    @staticmethod
-    def _has_import(txn: TransactionState) -> bool:
-        return (
-            txn.import_account is not None
-            and txn.import_account is not txn.account
-        )
 
     def _dump_accounts(
         self, txn: TransactionState, has_import: bool
@@ -1472,10 +1293,8 @@ class ProcessShardedEngine:
             )
         if self._local[shard] is not None:
             return self._local_op(txn, shard, op, object_id, value)
-        if self.shard_rpc == "legacy":
-            return self._operate_legacy(txn, sync, shard, op, object_id, value)
         opcode = _OP_READ if op == "read" else _OP_WRITE
-        has_import = self._has_import(txn)
+        has_import = _has_import(txn)
         item = self._build_op_item(
             txn, sync, shard, opcode, object_id, value, has_import
         )
@@ -1603,55 +1422,6 @@ class ProcessShardedEngine:
             if import_delta is not None:
                 entry[1] = _merge_delta(entry[1], import_delta)
 
-    def _operate_legacy(
-        self,
-        txn: TransactionState,
-        sync: _TxnSync,
-        shard: int,
-        op: str,
-        object_id: int,
-        value: float,
-    ) -> Outcome:
-        """The original channel: one pickle round-trip per op, full dumps."""
-        txn_id = txn.transaction_id
-        descriptor = (
-            sync.descriptor if shard not in sync.shard_versions else None
-        )
-        account_state = txn.account.dump_state()
-        has_import = self._has_import(txn)
-        import_state = txn.import_account.dump_state() if has_import else None
-        frame = (
-            "op",
-            (
-                txn_id,
-                descriptor,
-                op,
-                object_id,
-                value,
-                account_state,
-                import_state,
-            ),
-        )
-        try:
-            reply = self._channels[shard].request_legacy(frame)
-        except (OSError, EOFError, ShardChannelError):
-            return self._shard_failed(txn, shard)
-        # Legacy mode keeps no versions; the entry just marks "descriptor
-        # shipped" so later ops skip it.
-        sync.shard_versions.setdefault(shard, 0)
-        if reply[0] == "err":
-            raise reply[1]
-        outcome, account_state, import_state = reply[1]
-        txn.account.load_state(account_state)
-        if import_state is not None and has_import:
-            txn.import_account.load_state(import_state)
-        touched = self._touched.get(txn_id)
-        if touched is not None:
-            touched.add(shard)
-        return self._absorb(
-            txn, object_id, outcome, is_read=(op == "read"), value=value
-        )
-
     def _local_op(
         self,
         txn: TransactionState,
@@ -1663,14 +1433,15 @@ class ProcessShardedEngine:
         """Operate on a failed-over shard's in-process engine."""
         engine = self._local[shard]
         sync = self._sync.get(txn.transaction_id)
-        fast = self.shard_rpc != "legacy"
         with self._local_locks[shard]:
-            sibling = self._local_sibling(txn, shard)
+            # In-process again: the accounts are shared directly, as in
+            # the thread-based composite.
+            sibling = shard_sibling(self._siblings, txn, shard, engine)
             if op == "read":
                 outcome = engine.read(sibling, object_id)
             else:
                 outcome = engine.write(sibling, object_id, value)
-        if sync is not None and fast:
+        if sync is not None:
             # The local engine mutated the shared canonical account
             # directly — there is no delta to accumulate, so move the
             # revision past every worker shard and force their next op
@@ -1685,33 +1456,6 @@ class ProcessShardedEngine:
         return self._absorb(
             txn, object_id, outcome, is_read=(op == "read"), value=value
         )
-
-    def _local_sibling(
-        self, txn: TransactionState, shard: int
-    ) -> TransactionState:
-        shard_map = self._siblings.get(txn.transaction_id)
-        if shard_map is None:
-            raise InvalidOperation(
-                f"transaction {txn.transaction_id} is not active",
-                txn.transaction_id,
-            )
-        sibling = shard_map.get(shard)
-        if sibling is None:
-            sibling = TransactionState(
-                transaction_id=txn.transaction_id,
-                kind=txn.kind,
-                timestamp=txn.timestamp,
-                bounds=txn.bounds,
-                catalog=self.database.catalog,
-            )
-            # In-process again: the accounts can be shared directly, as
-            # in the thread-based composite.
-            sibling.account = txn.account
-            sibling.import_account = txn.import_account
-            sibling.object_limits = txn.object_limits
-            shard_map[shard] = sibling
-            self._local[shard].adopt(sibling)
-        return sibling
 
     def _absorb(
         self,
@@ -1755,43 +1499,22 @@ class ProcessShardedEngine:
                 txn, "read" if is_read else "write", object_id, outcome,
                 shard=shard,
             )
-            self._finish_global(
+            self._finish(
                 txn,
                 TransactionStatus.ABORTED,
                 outcome.reason,
-                record=True,
                 already_finished=object_id % self.shards,
             )
         return outcome
 
     # -- completion --------------------------------------------------------------
 
-    def commit(self, txn: TransactionState) -> None:
-        txn.require_active()
-        self._finish_global(
-            txn, TransactionStatus.COMMITTED, None, record=True
-        )
-
-    def abort(
-        self, txn: TransactionState, reason: str = REASON_CLIENT_ABORT
-    ) -> None:
-        if txn.status is TransactionStatus.ABORTED:
-            return
-        if txn.status is TransactionStatus.COMMITTED:
-            raise InvalidOperation(
-                f"cannot abort committed transaction {txn.transaction_id}",
-                txn.transaction_id,
-            )
-        self._finish_global(
-            txn, TransactionStatus.ABORTED, reason, record=True
-        )
-
-    def _finish_global(
+    def _finish(
         self,
         txn: TransactionState,
         status: TransactionStatus,
         reason: str | None,
-        record: bool,
+        record: bool = True,
         already_finished: int | None = None,
     ) -> None:
         """Decide the completion once, fan it out to every touched shard.
@@ -1806,7 +1529,6 @@ class ProcessShardedEngine:
             self._sync.pop(txn.transaction_id, None)
             self._active.pop(txn.transaction_id, None)
         committing = status is TransactionStatus.COMMITTED
-        legacy = self.shard_rpc == "legacy"
         for shard in sorted(touched):
             if shard == already_finished:
                 continue
@@ -1818,22 +1540,15 @@ class ProcessShardedEngine:
                         engine.complete(sibling, status, reason)
                 continue
             try:
-                if legacy:
-                    reply = self._channels[shard].request_legacy(
-                        ("complete", txn.transaction_id, status.value, reason)
-                    )
-                    kind = "committed" if reply[0] == "ok" else reply[0]
-                else:
-                    reply = self._channels[shard].request(
-                        ("complete", txn.transaction_id, status.value, reason)
-                    )
-                    kind = reply[0]
+                reply = self._channels[shard].request(
+                    ("complete", txn.transaction_id, status.value, reason)
+                )
             except (OSError, EOFError, ShardChannelError):
                 # The shard's staged effects died with its worker; the
                 # mirror below is the surviving committed state.
                 self._failover(shard)
                 continue
-            if kind == "err":
+            if reply[0] == "err":
                 continue
             if committing:
                 for object_id, (value, write_ts) in reply[1].items():
@@ -1856,11 +1571,8 @@ class ProcessShardedEngine:
         """An op hit a dead worker: fail the shard over, abort the txn."""
         self._failover(shard)
         if txn.is_active:
-            self._finish_global(
-                txn,
-                TransactionStatus.ABORTED,
-                REASON_SHARD_FAILOVER,
-                record=True,
+            self._finish(
+                txn, TransactionStatus.ABORTED, REASON_SHARD_FAILOVER
             )
         return Rejected(
             REASON_SHARD_FAILOVER,
@@ -1895,11 +1607,10 @@ class ProcessShardedEngine:
         for txn in list(self._active.values()):
             touched = self._touched.get(txn.transaction_id)
             if touched is not None and shard in touched and txn.is_active:
-                self._finish_global(
+                self._finish(
                     txn,
                     TransactionStatus.ABORTED,
                     REASON_SHARD_FAILOVER,
-                    record=True,
                     already_finished=shard,
                 )
 

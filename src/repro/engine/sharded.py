@@ -64,8 +64,8 @@ from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.api import build_unsharded, validate_protocol_options
 from repro.engine.database import Database
 from repro.engine.history import HistoryRecorder
+from repro.engine.lifecycle import EngineCore
 from repro.engine.metrics import MetricsCollector
-from repro.engine.reasons import REASON_CLIENT_ABORT
 from repro.engine.results import Granted, Outcome, Rejected
 from repro.engine.scheduler import WaitRegistry
 from repro.engine.timestamps import Timestamp, TimestampGenerator
@@ -76,7 +76,7 @@ from repro.engine.transactions import (
 )
 from repro.errors import InvalidOperation
 
-__all__ = ["ShardedEngine", "absorb_granted"]
+__all__ = ["ShardedEngine", "absorb_granted", "shard_sibling"]
 
 
 def absorb_granted(
@@ -96,6 +96,43 @@ def absorb_granted(
     txn.operations += 1
     if outcome.esr_case is not None:
         txn.inconsistent_operations += 1
+
+
+def shard_sibling(
+    siblings: dict[int, dict[int, TransactionState]],
+    txn: TransactionState,
+    shard: int,
+    engine,
+) -> TransactionState:
+    """The in-process per-shard twin of ``txn``; created on first touch.
+
+    Shared by both sharded composites (the process composite uses it for
+    failed-over shards).  The sibling carries the global transaction's
+    id, timestamp and kind, and its accounts *are* the global
+    transaction's, so every shard charges the same TIL/GIL ledger.  A
+    new sibling is adopted into ``engine``.
+    """
+    shard_map = siblings.get(txn.transaction_id)
+    if shard_map is None:
+        raise InvalidOperation(
+            f"transaction {txn.transaction_id} is not active",
+            txn.transaction_id,
+        )
+    sibling = shard_map.get(shard)
+    if sibling is None:
+        sibling = TransactionState(
+            transaction_id=txn.transaction_id,
+            kind=txn.kind,
+            timestamp=txn.timestamp,
+            bounds=txn.bounds,
+            catalog=engine.database.catalog,
+        )
+        sibling.account = txn.account
+        sibling.import_account = txn.import_account
+        sibling.object_limits = txn.object_limits
+        shard_map[shard] = sibling
+        engine.adopt(sibling)
+    return sibling
 
 
 class _LockedMetrics(MetricsCollector):
@@ -262,7 +299,7 @@ class _AggregateSnapshot:
         return f"_AggregateSnapshot(shards={len(self.stores)})"
 
 
-class ShardedEngine:
+class ShardedEngine(EngineCore):
     """N per-shard engines behind the one :class:`~repro.engine.api.Engine`
     interface, with cross-shard hierarchical bound accounting."""
 
@@ -291,27 +328,20 @@ class ShardedEngine:
             wait_policy=wait_policy,
             shards=shards,
         )
-        self.database = database
+        super().__init__(
+            database,
+            metrics=metrics if metrics is not None else _LockedMetrics(),
+            timestamps=timestamps,
+            recorder=recorder,
+            record_history=record_history,
+        )
         self.protocol = protocol
         self.shards = shards
         self.wait_policy = wait_policy
         self.export_policy = export_policy
         self.distance = distance
-        if recorder is not None:
-            self.recorder = recorder
-        else:
-            self.recorder = HistoryRecorder(
-                metrics if metrics is not None else _LockedMetrics(),
-                record=record_history,
-            )
-        self.metrics = self.recorder.metrics
-        self._timestamps = (
-            timestamps if timestamps is not None else TimestampGenerator()
-        )
-        self._next_id = 1
         #: Guards id/timestamp allocation and the global transaction maps.
         self._txn_lock = threading.Lock()
-        self._active: dict[int, TransactionState] = {}
         #: Global txn id -> {shard index: sibling TransactionState}.
         self._siblings: dict[int, dict[int, TransactionState]] = {}
         #: Transactions popped from ``_active`` whose per-shard completion
@@ -351,8 +381,6 @@ class ShardedEngine:
             self.snapshot = _AggregateSnapshot(
                 tuple(engine.snapshot for engine in self._engines)
             )
-        else:
-            self.snapshot = None
 
     # -- routing ---------------------------------------------------------------
 
@@ -376,26 +404,15 @@ class ShardedEngine:
         object_limits: Mapping[int, float] | None = None,
         allow_inconsistent_reads: bool = False,
     ) -> TransactionState:
-        if isinstance(kind, str):
-            kind = TransactionKind(kind.lower())
-        if bounds is None:
-            bounds = TransactionBounds()
-        elif isinstance(bounds, EpsilonLevel):
-            bounds = bounds.transaction
         with self._txn_lock:
-            if timestamp is None:
-                timestamp = self._timestamps.next()
-            txn = TransactionState(
-                transaction_id=self._next_id,
-                kind=kind,
-                timestamp=timestamp,
-                bounds=bounds,
-                catalog=self.database.catalog,
-                group_limits=group_limits,
-                object_limits=object_limits,
-                allow_inconsistent_reads=allow_inconsistent_reads,
+            txn = self._new_transaction(
+                kind,
+                bounds,
+                timestamp,
+                group_limits,
+                object_limits,
+                allow_inconsistent_reads,
             )
-            self._next_id += 1
             # TIL/TEL and group totals span shards: make the ledger's
             # check-and-charge atomic across concurrent shard threads.
             account_lock = threading.RLock()
@@ -410,72 +427,28 @@ class ShardedEngine:
         self.recorder.begin(txn)
         return txn
 
-    def adopt(self, txn: TransactionState) -> None:
-        """Register an externally-built transaction as globally active."""
-        with self._txn_lock:
-            self._active[txn.transaction_id] = txn
-            self._siblings[txn.transaction_id] = {}
-
-    def active_transactions(self) -> tuple[TransactionState, ...]:
-        return tuple(self._active.values())
-
-    def _sibling(
-        self, txn: TransactionState, shard: int
-    ) -> TransactionState:
-        """The per-shard twin of ``txn``; created on first touch.
-
-        Called under the shard's lock.  A transaction's operations are
-        serialised by its client connection, so sibling creation for one
-        transaction is single-threaded.
-        """
-        try:
-            shard_map = self._siblings[txn.transaction_id]
-        except KeyError:
-            raise InvalidOperation(
-                f"transaction {txn.transaction_id} is not active",
-                txn.transaction_id,
-            ) from None
-        sibling = shard_map.get(shard)
-        if sibling is None:
-            sibling = TransactionState(
-                transaction_id=txn.transaction_id,
-                kind=txn.kind,
-                timestamp=txn.timestamp,
-                bounds=txn.bounds,
-                catalog=self.database.catalog,
-            )
-            # The accounts *are* the global transaction's — every shard
-            # charges the same TIL/GIL ledger (under its lock).
-            sibling.account = txn.account
-            sibling.import_account = txn.import_account
-            sibling.object_limits = txn.object_limits
-            shard_map[shard] = sibling
-            self._engines[shard].adopt(sibling)
-        return sibling
-
     # -- operations -------------------------------------------------------------
 
     def read(self, txn: TransactionState, object_id: int) -> Outcome:
         txn.require_active()
         shard = object_id % self.shards
         with self._locks[shard]:
-            sibling = self._sibling(txn, shard)
-            outcome = self._engines[shard].read(sibling, object_id)
+            # Sibling creation for one transaction is single-threaded: a
+            # transaction's operations are serialised by its connection.
+            engine = self._engines[shard]
+            sibling = shard_sibling(self._siblings, txn, shard, engine)
+            outcome = engine.read(sibling, object_id)
         return self._absorb(txn, object_id, outcome, is_read=True)
 
     def write(
         self, txn: TransactionState, object_id: int, value: float
     ) -> Outcome:
-        txn.require_active()
-        if not txn.is_update:
-            raise InvalidOperation(
-                f"query transaction {txn.transaction_id} cannot write",
-                txn.transaction_id,
-            )
+        self._require_update(txn)
         shard = object_id % self.shards
         with self._locks[shard]:
-            sibling = self._sibling(txn, shard)
-            outcome = self._engines[shard].write(sibling, object_id, value)
+            engine = self._engines[shard]
+            sibling = shard_sibling(self._siblings, txn, shard, engine)
+            outcome = engine.write(sibling, object_id, value)
         return self._absorb(txn, object_id, outcome, is_read=False)
 
     def read_cached(
@@ -509,7 +482,7 @@ class ShardedEngine:
             # The shard already recorded the rejection and aborted (and
             # finished) the sibling it saw; propagate the abort to every
             # other touched shard and close out the global transaction.
-            self._finish_global(
+            self._finish(
                 txn,
                 TransactionStatus.ABORTED,
                 outcome.reason,
@@ -520,28 +493,12 @@ class ShardedEngine:
 
     # -- completion --------------------------------------------------------------
 
-    def commit(self, txn: TransactionState) -> None:
-        txn.require_active()
-        self._finish_global(txn, TransactionStatus.COMMITTED, None, record=True)
-
-    def abort(
-        self, txn: TransactionState, reason: str = REASON_CLIENT_ABORT
-    ) -> None:
-        if txn.status is TransactionStatus.ABORTED:
-            return
-        if txn.status is TransactionStatus.COMMITTED:
-            raise InvalidOperation(
-                f"cannot abort committed transaction {txn.transaction_id}",
-                txn.transaction_id,
-            )
-        self._finish_global(txn, TransactionStatus.ABORTED, reason, record=True)
-
-    def _finish_global(
+    def _finish(
         self,
         txn: TransactionState,
         status: TransactionStatus,
         reason: str | None,
-        record: bool,
+        record: bool = True,
         already_finished: int | None = None,
     ) -> None:
         """Decide the completion once, apply it to every touched shard.

@@ -35,16 +35,14 @@ TSO engine never produces, which the comparison benchmark surfaces.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.core.bounds import EpsilonLevel, TransactionBounds
 from repro.core.divergence import export_divergence, import_divergence
 from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.database import Database
 from repro.engine.history import HistoryRecorder
+from repro.engine.lifecycle import ManagerCore
 from repro.engine.locks import LockTable
 from repro.engine.metrics import MetricsCollector
-from repro.engine.reasons import REASON_CLIENT_ABORT, REASON_DEADLOCK
+from repro.engine.reasons import REASON_DEADLOCK
 from repro.engine.results import (
     CASE_LATE_WRITE,
     CASE_READ_UNCOMMITTED,
@@ -53,19 +51,13 @@ from repro.engine.results import (
     Outcome,
     Rejected,
 )
-from repro.engine.scheduler import WaitRegistry
-from repro.engine.timestamps import Timestamp, TimestampGenerator
-from repro.engine.transactions import (
-    TransactionKind,
-    TransactionState,
-    TransactionStatus,
-)
-from repro.errors import InvalidOperation
+from repro.engine.timestamps import TimestampGenerator
+from repro.engine.transactions import TransactionState
 
 __all__ = ["REASON_DEADLOCK", "TwoPhaseManager"]
 
 
-class TwoPhaseManager:
+class TwoPhaseManager(ManagerCore):
     """Strict-2PL divergence control over one :class:`Database`."""
 
     def __init__(
@@ -79,74 +71,21 @@ class TwoPhaseManager:
         recorder: HistoryRecorder | None = None,
         record_history: bool = False,
     ):
-        self.database = database
+        super().__init__(
+            database,
+            metrics=metrics,
+            timestamps=timestamps,
+            recorder=recorder,
+            record_history=record_history,
+        )
         #: With ``relaxed`` False this is plain strict 2PL (the SR
         #: baseline in lock form); bounds are ignored entirely.
         self.relaxed = relaxed
         #: Registry name (see :mod:`repro.engine.api`).
         self.protocol = "2pl" if relaxed else "2pl-sr"
-        #: No snapshot read cache on the lock-based engines.
-        self.snapshot = None
         self.distance = distance
         self.export_policy = export_policy
-        if recorder is not None:
-            self.recorder = recorder
-        else:
-            self.recorder = HistoryRecorder(metrics, record=record_history)
-        self.metrics = self.recorder.metrics
-        self.waits = WaitRegistry()
         self.locks = LockTable()
-        self._timestamps = (
-            timestamps if timestamps is not None else TimestampGenerator()
-        )
-        self._next_id = 1
-        self._active: dict[int, TransactionState] = {}
-
-    # -- lifecycle ------------------------------------------------------------------
-
-    def begin(
-        self,
-        kind: TransactionKind | str,
-        bounds: TransactionBounds | EpsilonLevel | None = None,
-        timestamp: Timestamp | None = None,
-        group_limits: Mapping[str, float] | None = None,
-        object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
-    ) -> TransactionState:
-        """Start a transaction (interface-compatible with the TSO manager)."""
-        if isinstance(kind, str):
-            kind = TransactionKind(kind.lower())
-        if bounds is None:
-            bounds = TransactionBounds()
-        elif isinstance(bounds, EpsilonLevel):
-            bounds = bounds.transaction
-        if timestamp is None:
-            timestamp = self._timestamps.next()
-        txn = TransactionState(
-            transaction_id=self._next_id,
-            kind=kind,
-            timestamp=timestamp,
-            bounds=bounds,
-            catalog=self.database.catalog,
-            group_limits=group_limits,
-            object_limits=object_limits,
-            allow_inconsistent_reads=allow_inconsistent_reads,
-        )
-        self._next_id += 1
-        self._active[txn.transaction_id] = txn
-        self.recorder.begin(txn)
-        return txn
-
-    def adopt(self, txn: TransactionState) -> None:
-        """Register an externally-built transaction (sharding hook)."""
-        self._active[txn.transaction_id] = txn
-
-    def active_transactions(self) -> tuple[TransactionState, ...]:
-        return tuple(self._active.values())
-
-    def read_cached(self, txn: TransactionState, object_id: int) -> None:
-        """No snapshot cache on the 2PL engines — always fall back."""
-        return None
 
     # -- deadlock handling -----------------------------------------------------------
 
@@ -156,6 +95,7 @@ class TwoPhaseManager:
         """Wait on ``blocker`` unless that edge would close a cycle."""
         seen = {txn.transaction_id}
         node: int | None = blocker
+        outcome: MustWait | Rejected = MustWait(blocker)
         while node is not None:
             if node in seen:
                 outcome = Rejected(
@@ -165,12 +105,10 @@ class TwoPhaseManager:
                         f"transaction {txn.transaction_id}"
                     ),
                 )
-                self._reject(txn, op, object_id, outcome)
-                return outcome
+                break
             seen.add(node)
             node = self.waits.waiting_on(node)
-        self.recorder.wait(txn, op, object_id, blocker)
-        return MustWait(blocker)
+        return self._refused(txn, op, object_id, outcome)
 
     # -- operations -------------------------------------------------------------------
 
@@ -185,7 +123,9 @@ class TwoPhaseManager:
                 if obj.writer_id == txn.transaction_id
                 else obj.committed_value
             )
-            return self._granted_read(txn, obj, Granted(value=value))
+            return self._granted_read(
+                txn, obj, Granted(value=value), obj.committed_value
+            )
         account = txn.import_account if self.relaxed else None
         if account is not None:
             # Import relaxation: read through the writer's X lock.
@@ -199,18 +139,16 @@ class TwoPhaseManager:
             if charge.admitted:
                 case = CASE_READ_UNCOMMITTED if d > 0 else None
                 return self._granted_read(
-                    txn, obj, Granted(value=present, inconsistency=d, esr_case=case)
+                    txn,
+                    obj,
+                    Granted(value=present, inconsistency=d, esr_case=case),
+                    proper,
                 )
         return self._park_or_break(txn, blocker, "read", object_id)
 
     def write(self, txn: TransactionState, object_id: int, value: float) -> Outcome:
         """Submit a write; X lock, or an export-relaxed write-past."""
-        txn.require_active()
-        if not txn.is_update:
-            raise InvalidOperation(
-                f"query transaction {txn.transaction_id} cannot write",
-                txn.transaction_id,
-            )
+        self._require_update(txn)
         obj = self.database.get(object_id)
         blocker = self.locks.acquire_exclusive(txn.transaction_id, object_id)
         if blocker is None:
@@ -257,102 +195,8 @@ class TwoPhaseManager:
                 # conflict is curable by waiting for the readers to finish.
         return self._park_or_break(txn, blocker, "write", object_id)
 
-    # -- effects --------------------------------------------------------------------
-
-    def _granted_read(
-        self, txn: TransactionState, obj, outcome: Granted
-    ) -> Granted:
-        proper = obj.committed_value if txn.is_query else 0.0
-        obj.record_read(
-            txn.transaction_id, txn.timestamp, txn.is_query, proper
-        )
-        txn.read_set.add(obj.object_id)
-        txn.operations += 1
-        if outcome.esr_case is not None:
-            txn.inconsistent_operations += 1
-        if txn.import_account is not None and outcome.value is not None:
-            txn.import_account.observe_value(obj.object_id, outcome.value)
-        self.recorder.read(txn, obj.object_id, outcome)
-        return outcome
-
-    def _granted_write(
-        self, txn: TransactionState, obj, value: float, outcome: Granted
-    ) -> Granted:
-        obj.stage_write(txn.transaction_id, txn.timestamp, value)
-        txn.write_set.add(obj.object_id)
-        txn.operations += 1
-        if outcome.esr_case is not None:
-            txn.inconsistent_operations += 1
-        self.recorder.write(txn, obj.object_id, value, outcome)
-        return outcome
-
-    def _reject(
-        self,
-        txn: TransactionState,
-        op: str,
-        object_id: int | None,
-        outcome: Rejected,
-    ) -> None:
-        self.recorder.rejection(txn, op, object_id, outcome)
-        self._finish(txn, TransactionStatus.ABORTED, outcome.reason)
-
-    # -- completion -------------------------------------------------------------------
-
-    def commit(self, txn: TransactionState) -> None:
-        txn.require_active()
-        self._promote(txn)
-        self.recorder.commit(txn)
-        self._finish(txn, TransactionStatus.COMMITTED, None)
-
-    def _promote(self, txn: TransactionState) -> None:
-        for object_id in txn.write_set:
-            self.database.get(object_id).commit_write()
-
-    def complete(
-        self,
-        txn: TransactionState,
-        status: TransactionStatus,
-        reason: str | None = None,
-    ) -> None:
-        """Apply a completion decided by the sharded composite (no metrics)."""
-        if status is TransactionStatus.COMMITTED:
-            self._promote(txn)
-        self._finish(txn, status, reason, record=False)
-
-    def abort(
-        self, txn: TransactionState, reason: str = REASON_CLIENT_ABORT
-    ) -> None:
-        if txn.status is TransactionStatus.ABORTED:
-            return
-        if txn.status is TransactionStatus.COMMITTED:
-            raise InvalidOperation(
-                f"cannot abort committed transaction {txn.transaction_id}",
-                txn.transaction_id,
-            )
-        self._finish(txn, TransactionStatus.ABORTED, reason)
-
-    def _finish(
-        self,
-        txn: TransactionState,
-        status: TransactionStatus,
-        reason: str | None,
-        record: bool = True,
-    ) -> None:
-        if status is TransactionStatus.ABORTED:
-            for object_id in txn.write_set:
-                obj = self.database.get(object_id)
-                if obj.writer_id == txn.transaction_id:
-                    obj.abort_write()
-            txn.abort_reason = reason
-            if record:
-                self.recorder.abort(txn, reason)
-        if txn.is_query:
-            for object_id in txn.read_set:
-                self.database.get(object_id).forget_reader(txn.transaction_id)
+    def _release(self, txn: TransactionState) -> None:
         self.locks.release_all(txn.transaction_id)
-        txn.status = status
-        self._active.pop(txn.transaction_id, None)
-        self.waits.fire(txn.transaction_id)
 
     def __repr__(self) -> str:
         return (

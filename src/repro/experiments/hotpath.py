@@ -35,8 +35,8 @@ from repro.sim.system import SimulationConfig, run_simulation
 __all__ = [
     "MicroBench",
     "MICRO_BENCHES",
-    "ProcshardRpcConfig",
-    "run_procshard_rpc",
+    "ShardChannelConfig",
+    "run_shard_channel",
     "check_rpc_regression",
     "smoke_config",
     "run_suite",
@@ -166,8 +166,8 @@ MICRO_BENCHES: tuple[MicroBench, ...] = (
 
 
 @dataclass(frozen=True)
-class ProcshardRpcConfig:
-    """The fixed workload behind the ``procshard_rpc`` figure.
+class ShardChannelConfig:
+    """The fixed workload behind the ``shard_channel`` figure.
 
     A seeded mixed read/write trace over a process-sharded engine, in
     two phases measured separately.  The *sequential* phase (one client,
@@ -177,8 +177,7 @@ class ProcshardRpcConfig:
     *concurrent* phase (many client threads) is the throughput probe:
     it gives the flat-combining channel concurrent callers to coalesce,
     and its long transactions grow the per-transaction account
-    footprint that the legacy channel re-ships in full on every single
-    operation — the cost the delta-sync fast path removes."""
+    footprint that delta sync keeps off the wire."""
 
     shards: int = 4
     objects: int = 256
@@ -229,12 +228,10 @@ def _rpc_delta(before: dict, after: dict) -> dict:
     }
 
 
-def run_procshard_rpc(
-    mode: str, config: ProcshardRpcConfig | None = None
-) -> dict | None:
-    """Time the parent↔worker shard channel in one wire mode.
+def run_shard_channel(config: ShardChannelConfig | None = None) -> dict | None:
+    """Time the process-sharded engine's parent↔worker channel.
 
-    ``mode`` is ``"fast"`` or ``"legacy"``.  Returns the figure dict —
+    Returns the figure dict —
     ``ops_per_s``/``batch_occupancy`` from the concurrent phase,
     ``bytes_per_op``/``round_trips_per_txn``/sync mix from the
     deterministic sequential phase — or ``None`` where process sharding
@@ -247,7 +244,7 @@ def run_procshard_rpc(
     if process_sharding_unavailable() == "no-fork":
         return None
     if config is None:
-        config = ProcshardRpcConfig()
+        config = ShardChannelConfig()
     database = Database()
     database.create_many(
         (object_id, 100.0) for object_id in range(config.objects)
@@ -257,7 +254,6 @@ def run_procshard_rpc(
         "esr",
         shards=config.shards,
         processes="force",
-        shard_rpc=mode,
     )
     try:
         # Phase 1 — sequential bytes probe (deterministic for the seed).
@@ -324,22 +320,22 @@ def run_procshard_rpc(
 def check_rpc_regression(
     baseline: dict, current: dict, factor: float = 1.5
 ) -> str | None:
-    """Fail if the fast channel's bytes/op regressed vs. the baseline.
+    """Fail if the shard channel's bytes/op regressed vs. the baseline.
 
     Returns a failure message, or None when within ``factor`` of the
-    recorded figure (or when either side lacks the ``procshard_rpc``
+    recorded figure (or when either side lacks the ``shard_channel``
     section — older baselines stay usable).  Bytes/op is the guarded
     metric because it is deterministic for the fixed sequential trace;
     ops/s on shared CI hardware is too noisy to gate on.
     """
-    base = (baseline.get("procshard_rpc") or {}).get("fast")
-    cur = (current.get("procshard_rpc") or {}).get("fast")
+    base = baseline.get("shard_channel")
+    cur = current.get("shard_channel")
     if not base or not cur:
         return None
     allowed = base["bytes_per_op"] * factor
     if cur["bytes_per_op"] > allowed:
         return (
-            f"procshard_rpc bytes/op regressed: {cur['bytes_per_op']:.1f} "
+            f"shard_channel bytes/op regressed: {cur['bytes_per_op']:.1f} "
             f"> {allowed:.1f} (baseline {base['bytes_per_op']:.1f} "
             f"x factor {factor})"
         )
@@ -396,21 +392,15 @@ def run_suite(
                 f"  {bench.name}: {best:.4f}s "
                 f"({bench.ops / best:,.0f} {bench.unit}/s)"
             )
-    rpc: dict[str, dict] | None = {}
-    for mode in ("fast", "legacy"):
-        figure = run_procshard_rpc(mode)
-        if figure is None:
-            rpc = None
-            if progress is not None:
-                progress("  procshard_rpc: skipped (no fork)")
-            break
-        rpc[mode] = figure
-        if progress is not None:
+    channel = run_shard_channel()
+    if progress is not None:
+        if channel is None:
+            progress("  shard_channel: skipped (no fork)")
+        else:
             progress(
-                f"  procshard_rpc[{mode}]: "
-                f"{figure['ops_per_s']:,.0f} ops/s, "
-                f"{figure['bytes_per_op']:,.0f} bytes/op, "
-                f"occupancy {figure['batch_occupancy']:.2f}"
+                f"  shard_channel: {channel['ops_per_s']:,.0f} ops/s, "
+                f"{channel['bytes_per_op']:,.0f} bytes/op, "
+                f"occupancy {channel['batch_occupancy']:.2f}"
             )
     config = smoke_config()
     smoke_best = _best_of(lambda: run_simulation(config), smoke_repeats)
@@ -418,7 +408,7 @@ def run_suite(
         progress(f"  smoke_figure: {smoke_best:.4f}s wall")
     return {
         "schema": SCHEMA_VERSION,
-        "procshard_rpc": rpc,
+        "shard_channel": channel,
         "recorded": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -466,16 +456,15 @@ def format_report(report: dict) -> str:
         lines.append(
             f"  {name:<18} {entry['best_s']:.4f}s  ({entry['ops_per_s']:,.0f} ops/s)"
         )
-    rpc = report.get("procshard_rpc")
-    if rpc:
-        for mode, figure in rpc.items():
-            lines.append(
-                f"  {'procshard_rpc[' + mode + ']':<18} "
-                f"{figure['ops_per_s']:,.0f} ops/s  "
-                f"{figure['bytes_per_op']:,.0f} bytes/op  "
-                f"occupancy {figure['batch_occupancy']:.2f}  "
-                f"{figure['round_trips_per_txn']:.1f} round-trips/txn"
-            )
+    channel = report.get("shard_channel")
+    if channel:
+        lines.append(
+            f"  {'shard_channel':<18} "
+            f"{channel['ops_per_s']:,.0f} ops/s  "
+            f"{channel['bytes_per_op']:,.0f} bytes/op  "
+            f"occupancy {channel['batch_occupancy']:.2f}  "
+            f"{channel['round_trips_per_txn']:.1f} round-trips/txn"
+        )
     lines.append(f"  {'smoke_figure':<18} {report['smoke']['wall_s']:.4f}s wall")
     return "\n".join(lines)
 
@@ -495,26 +484,25 @@ def format_comparison(baseline: dict, current: dict) -> str:
             f"{name:<18} {base['ops_per_s']:>14,.0f} "
             f"{entry['ops_per_s']:>14,.0f} {ratio:>8.2f}x"
         )
-    cur_rpc = current.get("procshard_rpc") or {}
-    base_rpc = baseline.get("procshard_rpc") or {}
-    for mode, figure in cur_rpc.items():
-        name = f"rpc[{mode}] B/op"
-        base = base_rpc.get(mode)
+    figure = current.get("shard_channel")
+    if figure:
+        name = "channel B/op"
+        base = baseline.get("shard_channel")
         if base is None:
             lines.append(
                 f"{name:<18} {'—':>14} {figure['bytes_per_op']:>14,.0f} {'new':>9}"
             )
-            continue
-        # Bytes/op is a cost: ratio > 1 means the channel got cheaper.
-        ratio = (
-            base["bytes_per_op"] / figure["bytes_per_op"]
-            if figure["bytes_per_op"]
-            else 0.0
-        )
-        lines.append(
-            f"{name:<18} {base['bytes_per_op']:>14,.0f} "
-            f"{figure['bytes_per_op']:>14,.0f} {ratio:>8.2f}x"
-        )
+        else:
+            # Bytes/op is a cost: ratio > 1 means the channel got cheaper.
+            ratio = (
+                base["bytes_per_op"] / figure["bytes_per_op"]
+                if figure["bytes_per_op"]
+                else 0.0
+            )
+            lines.append(
+                f"{name:<18} {base['bytes_per_op']:>14,.0f} "
+                f"{figure['bytes_per_op']:>14,.0f} {ratio:>8.2f}x"
+            )
     base_wall = baseline["smoke"]["wall_s"]
     cur_wall = current["smoke"]["wall_s"]
     ratio = base_wall / cur_wall if cur_wall else 0.0

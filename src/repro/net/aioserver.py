@@ -529,7 +529,6 @@ class AsyncTransactionServer:
         snapshot_cache: bool = False,
         shards: int = 1,
         processes: bool | str = False,
-        shard_rpc: str = "fast",
         codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
         record_history: bool = False,
     ):
@@ -541,7 +540,6 @@ class AsyncTransactionServer:
             snapshot_cache=snapshot_cache,
             shards=shards,
             processes=processes,
-            shard_rpc=shard_rpc,
             record_history=record_history,
         )
         #: Upper bound on one strict-ordering wait, in seconds.
@@ -932,7 +930,6 @@ def serve_in_thread(
     snapshot_cache: bool = False,
     shards: int = 1,
     processes: bool | str = False,
-    shard_rpc: str = "fast",
     codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
     use_uvloop: bool | None = None,
     record_history: bool = False,
@@ -948,7 +945,6 @@ def serve_in_thread(
         snapshot_cache=snapshot_cache,
         shards=shards,
         processes=processes,
-        shard_rpc=shard_rpc,
         codecs=codecs,
         record_history=record_history,
     )

@@ -71,8 +71,7 @@ class PerfCounters:
                                  fast path coalesces concurrent ops, so
                                  ``rpc_batched_ops / rpc_round_trips`` is
                                  the mean batch occupancy
-    ``rpc_batched_ops``          operations that rode a batch frame (every
-                                 fast-path op; zero in legacy mode)
+    ``rpc_batched_ops``          operations that rode a batch frame
     ``rpc_bytes_sent``           parent→worker shard-channel bytes
     ``rpc_bytes_received``       worker→parent shard-channel bytes
     ``rpc_sync_full``            op frames that carried a full account dump

@@ -6,12 +6,15 @@ import pytest
 
 from repro.core.bounds import TransactionBounds
 from repro.core.hierarchy import GroupCatalog
+from repro.engine.api import create_engine
+from repro.engine.database import Database
 from repro.engine.esr import esr_read_decision, esr_write_decision
 from repro.engine.objects import DataObject
 from repro.engine.results import (
     CASE_LATE_READ,
     CASE_LATE_WRITE,
     CASE_READ_UNCOMMITTED,
+    REASON_LATE_WRITE,
     Granted,
     MustWait,
     Rejected,
@@ -318,3 +321,32 @@ class TestCase3LateWrite:
         update = make_txn("update", 10, tel=0.0, txn_id=2)
         outcome = esr_write_decision(obj, update, 9_999.0)
         assert outcome == Granted()
+
+
+class TestLateWritePastUpdateReader:
+    """Case 3 never relaxes a write older than an *update* read, even
+    when a still newer query read hides that update read — otherwise the
+    update's read-modify-write would overwrite the late write's value
+    and one of the two deltas would be lost."""
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["bare", "sharded"])
+    def test_rejected_behind_a_newer_query_read(self, shards):
+        db = Database()
+        db.create_object(1, value=100.0)
+        engine = create_engine(db, "esr", shards=shards)
+        bounds = TransactionBounds(import_limit=1e9, export_limit=1e9)
+        u1 = engine.begin("update", bounds, timestamp=ts(3))
+        u2 = engine.begin("update", bounds, timestamp=ts(5))
+        assert engine.read(u2, 1) == Granted(value=100.0)
+        query = engine.begin("query", bounds, timestamp=ts(10))
+        assert engine.read(query, 1) == Granted(value=100.0)
+
+        outcome = engine.write(u1, 1, 150.0)
+        assert isinstance(outcome, Rejected)
+        assert outcome.reason == REASON_LATE_WRITE
+
+        # The update reader's own read-modify-write keeps its delta.
+        assert isinstance(engine.write(u2, 1, 110.0), Granted)
+        engine.commit(u2)
+        engine.commit(query)
+        assert db.get(1).committed_value == 110.0

@@ -7,8 +7,8 @@ through, so two invariants are pinned here:
   the engine's own ``MetricsCollector`` snapshot (they come from the
   same hooks, so they can never disagree);
 * **exactly-once completion** — every transaction gets exactly one
-  commit *or* one abort event, on every engine shape and on every path
-  (client abort, rejection auto-abort, composite absorption).
+  commit *or* one abort event, on every protocol and engine shape and on
+  every path (client abort, rejection auto-abort, composite absorption).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.core.bounds import ObjectBounds, TransactionBounds
-from repro.engine.api import create_engine
+from repro.engine.api import PROTOCOL_REGISTRY, create_engine
 from repro.engine.database import Database
 from repro.engine.history import (
     EVENT_ABORT,
@@ -41,8 +41,17 @@ def _bounded_db(n: int = 8) -> Database:
     return db
 
 
-def _run_mixed_load(engine) -> None:
-    """Commits, client aborts, and an ESR rejection, deterministically."""
+def _rejects_late_reads(protocol: str) -> bool:
+    """Whether a zero-bound late query read is rejected (Case 1).
+
+    Only the timestamp-ordering engines reject it: 2PL takes an S lock
+    and MVTO reads the version older than the query.
+    """
+    return PROTOCOL_REGISTRY[protocol].family == "tso"
+
+
+def _run_mixed_load(engine, protocol: str = "esr") -> None:
+    """Commits, client aborts, and (TSO) a rejection, deterministically."""
     # Plain committed update and query.
     t1 = engine.begin("update", TransactionBounds(0.0, 50.0))
     assert isinstance(engine.write(t1, 0, 123.0), Granted)
@@ -62,7 +71,11 @@ def _run_mixed_load(engine) -> None:
     engine.write(writer, 2, 999.0)
     engine.commit(writer)
     outcome = engine.read(strict, 2)
-    assert isinstance(outcome, Rejected)
+    if _rejects_late_reads(protocol):
+        assert isinstance(outcome, Rejected)
+    else:
+        assert isinstance(outcome, Granted)
+        engine.commit(strict)
 
 
 def _completion_events(events) -> dict[int, Counter]:
@@ -73,28 +86,44 @@ def _completion_events(events) -> dict[int, Counter]:
     return per_txn
 
 
+_NEEDS_FORK = pytest.mark.skipif(
+    process_sharding_unavailable() == "no-fork",
+    reason="process sharding needs the fork start method",
+)
+
+_SHAPES = (
+    ("bare", {}),
+    ("sharded", {"shards": 2}),
+    ("procshard", {"shards": 2, "processes": "force"}),
+)
+
+#: Every registry protocol on every engine shape; the id names the
+#: protocol unless it is the default (esr).
 ENGINE_SHAPES = [
-    pytest.param({}, id="bare"),
-    pytest.param({"shards": 2}, id="sharded"),
     pytest.param(
-        {"shards": 2, "processes": "force"},
-        id="procshard",
-        marks=pytest.mark.skipif(
-            process_sharding_unavailable() == "no-fork",
-            reason="process sharding needs the fork start method",
-        ),
-    ),
+        protocol,
+        shape,
+        id=name if protocol == "esr" else f"{protocol}-{name}",
+        marks=[_NEEDS_FORK] if name == "procshard" else [],
+    )
+    for protocol in PROTOCOL_REGISTRY
+    for name, shape in _SHAPES
+]
+
+#: The combinations whose mixed load includes a rejection.
+REJECTING_SHAPES = [
+    param for param in ENGINE_SHAPES if _rejects_late_reads(param.values[0])
 ]
 
 
 class TestRecordingParity:
-    @pytest.mark.parametrize("shape", ENGINE_SHAPES)
-    def test_derived_metrics_match_collector(self, shape):
+    @pytest.mark.parametrize("protocol,shape", ENGINE_SHAPES)
+    def test_derived_metrics_match_collector(self, protocol, shape):
         engine = create_engine(
-            _bounded_db(), "esr", record_history=True, **shape
+            _bounded_db(), protocol, record_history=True, **shape
         )
         try:
-            _run_mixed_load(engine)
+            _run_mixed_load(engine, protocol)
             log = HistoryLog.from_engine(engine)
             derived = derive_metrics(log.events)
             assert derived.snapshot() == engine.metrics.snapshot()
@@ -103,13 +132,13 @@ class TestRecordingParity:
             if close:
                 close()
 
-    @pytest.mark.parametrize("shape", ENGINE_SHAPES)
-    def test_every_transaction_completes_exactly_once(self, shape):
+    @pytest.mark.parametrize("protocol,shape", ENGINE_SHAPES)
+    def test_every_transaction_completes_exactly_once(self, protocol, shape):
         engine = create_engine(
-            _bounded_db(), "esr", record_history=True, **shape
+            _bounded_db(), protocol, record_history=True, **shape
         )
         try:
-            _run_mixed_load(engine)
+            _run_mixed_load(engine, protocol)
             events = HistoryLog.from_engine(engine).events
             completions = _completion_events(events)
             # 5 transactions above, each with exactly one completion.
@@ -129,13 +158,13 @@ class TestRecordingParity:
             if close:
                 close()
 
-    @pytest.mark.parametrize("shape", ENGINE_SHAPES)
-    def test_rejection_pairs_with_one_abort(self, shape):
+    @pytest.mark.parametrize("protocol,shape", REJECTING_SHAPES)
+    def test_rejection_pairs_with_one_abort(self, protocol, shape):
         engine = create_engine(
-            _bounded_db(), "esr", record_history=True, **shape
+            _bounded_db(), protocol, record_history=True, **shape
         )
         try:
-            _run_mixed_load(engine)
+            _run_mixed_load(engine, protocol)
             events = HistoryLog.from_engine(engine).events
             rejected = [e for e in events if e.kind == EVENT_REJECT]
             assert len(rejected) == 1

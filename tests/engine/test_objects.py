@@ -105,13 +105,15 @@ class TestReadBookkeeping:
         obj.record_read(1, ts(10), True, 0.0)
         obj.record_read(2, ts(5), False, 0.0)
         assert obj.read_ts == ts(10)
-        assert obj.last_reader_was_query  # the newest read was the query
+        # The older update read is still tracked behind the query's.
+        assert obj.update_read_ts == ts(5)
 
     def test_newest_reader_kind_tracked(self):
         obj = DataObject(7, 0.0)
         obj.record_read(1, ts(10), True, 0.0)
+        assert obj.update_read_ts < obj.read_ts  # only a query has read
         obj.record_read(2, ts(20), False, 0.0)
-        assert not obj.last_reader_was_query
+        assert obj.update_read_ts == obj.read_ts == ts(20)
 
     def test_query_readers_register_proper_values(self):
         obj = DataObject(7, 0.0)

@@ -381,10 +381,6 @@ def _drive_stream(engine, seed, objects=8, steps=80):
 
 
 class TestDeltaSync:
-    def test_fast_is_the_default_channel(self, make_engine):
-        engine = make_engine()
-        assert engine.shard_rpc == "fast"
-
     def test_sync_tag_mix_none_delta_full(self, make_engine):
         """A cross-shard update sees all three sync-in shapes: full on
         first touch, delta after another shard moved the canonical
@@ -415,23 +411,26 @@ class TestDeltaSync:
         engine.abort(reader, "test-done")
         engine.abort(writer, "test-done")
 
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_fast_and_legacy_channels_are_equivalent(self, make_engine, seed):
+    @pytest.mark.parametrize("seed", [3, 11, 29, 5, 101])
+    def test_channel_matches_unsharded_engine(self, make_engine, seed):
         """Property check: the same randomized op stream produces
         identical outcomes and identical final committed state whether
-        account state crosses the channel as deltas or as full dumps."""
+        it runs on the bare unsharded engine or crosses the shard
+        channel, with account state shipped as deltas."""
         traces = {}
         finals = {}
-        for mode in ("fast", "legacy"):
+        for shape, build in (
+            ("bare", lambda db: create_engine(db, "esr")),
+            ("procshard", lambda db: make_engine(database=db, shards=2)),
+        ):
             db = _database(8)
-            engine = make_engine(database=db, shards=2, shard_rpc=mode)
-            traces[mode] = _drive_stream(engine, seed)
-            finals[mode] = {
+            engine = build(db)
+            traces[shape] = _drive_stream(engine, seed)
+            finals[shape] = {
                 index: db.get(index).committed_value for index in range(8)
             }
-            engine.close()
-        assert traces["fast"] == traces["legacy"]
-        assert finals["fast"] == finals["legacy"]
+        assert traces["procshard"] == traces["bare"]
+        assert finals["procshard"] == finals["bare"]
 
     def test_version_skew_triggers_resync_and_recovers(self, make_engine):
         """A parent whose version record lies (claims the worker is
@@ -488,31 +487,6 @@ class TestDeltaSync:
             assert isinstance(outcome, Granted)
             assert outcome.value == expected
         engine.commit(retry)
-
-    def test_legacy_channel_smoke(self, make_engine):
-        from repro import perf
-
-        engine = make_engine(database=_database(4), shards=2, shard_rpc="legacy")
-        before = perf.counters.snapshot()
-        txn = engine.begin("update", TransactionBounds(export_limit=1e9))
-        assert isinstance(engine.write(txn, 0, 7.0), Granted)
-        assert isinstance(engine.read(txn, 1), Granted)
-        engine.commit(txn)
-        after = perf.counters.snapshot()
-        assert engine.database.get(0).committed_value == 7.0
-        assert after["rpc_ops"] > before["rpc_ops"]
-        # The legacy channel never rides batch frames or delta syncs.
-        assert after["rpc_batched_ops"] == before["rpc_batched_ops"]
-        assert after["rpc_sync_delta"] == before["rpc_sync_delta"]
-
-    def test_unknown_shard_rpc_mode_rejected(self):
-        with pytest.raises(SpecificationError):
-            validate_protocol_options("esr", shards=2, shard_rpc="bogus")
-        with pytest.raises(SpecificationError):
-            create_engine(
-                _database(), "esr", shards=2, processes="force",
-                shard_rpc="bogus",
-            )
 
 
 # -- channel hardening ---------------------------------------------------------

@@ -3,9 +3,9 @@
 The DES kernel promises bit-for-bit reproducibility, and the hot-path
 work (the ready-queue fast path, the fused ledger walk) promises to be
 *pure* optimisation — same results, less time.  These tests pin the
-complete metric set of two representative runs (the paper's TSO/ESR
-engine with a hierarchy, and the Wu et al. 2PL engine) to the values the
-seed kernel produced.  Any future "optimisation" that reorders events,
+complete metric set of one run per protocol (the paper's TSO/ESR engine
+with a hierarchy, strict TSO, the Wu et al. 2PL engine, strict 2PL and
+MVTO) to the values the seed kernel produced.  Any future "optimisation" that reorders events,
 changes a tie-break, or drifts the admission predicate fails loudly here
 instead of silently warping every figure.
 
@@ -71,6 +71,78 @@ GOLDEN_RUNS = {
             "client_commits": (23, 17, 12, 18),
             "inconsistent_by_case": {"read-uncommitted": 17},
             "aborts_by_reason": {"deadlock": 10},
+        },
+    ),
+    # The three strict protocols, pinned from the tree that still gave
+    # each engine its own copy of the transaction lifecycle; the shared
+    # lifecycle core must reproduce them bit for bit.
+    "sr": (
+        SimulationConfig(
+            mpl=4,
+            til=2_000.0,
+            tel=500.0,
+            protocol="sr",
+            duration_ms=8_000.0,
+            warmup_ms=1_000.0,
+            seed=7,
+        ),
+        {
+            "commits": 54,
+            "aborts": 55,
+            "commits_query": 11,
+            "commits_update": 43,
+            "inconsistent_operations": 0,
+            "total_operations": 973,
+            "waits": 13,
+            "client_commits": (14, 23, 10, 7),
+            "inconsistent_by_case": {},
+            "aborts_by_reason": {"late-read": 49, "late-write": 6},
+        },
+    ),
+    "2pl-sr": (
+        SimulationConfig(
+            mpl=4,
+            til=2_000.0,
+            tel=500.0,
+            protocol="2pl-sr",
+            duration_ms=8_000.0,
+            warmup_ms=1_000.0,
+            seed=11,
+        ),
+        {
+            "commits": 54,
+            "aborts": 15,
+            "commits_query": 12,
+            "commits_update": 42,
+            "inconsistent_operations": 0,
+            "total_operations": 722,
+            "waits": 49,
+            "client_commits": (8, 22, 11, 13),
+            "inconsistent_by_case": {},
+            "aborts_by_reason": {"deadlock": 15},
+        },
+    ),
+    "mvto": (
+        SimulationConfig(
+            mpl=4,
+            til=2_000.0,
+            tel=500.0,
+            protocol="mvto",
+            duration_ms=8_000.0,
+            warmup_ms=1_000.0,
+            seed=13,
+        ),
+        {
+            "commits": 104,
+            "aborts": 1,
+            "commits_query": 31,
+            "commits_update": 73,
+            "inconsistent_operations": 0,
+            "total_operations": 1013,
+            "waits": 0,
+            "client_commits": (28, 23, 26, 27),
+            "inconsistent_by_case": {},
+            "aborts_by_reason": {"late-write": 1},
         },
     ),
 }
