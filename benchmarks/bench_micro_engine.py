@@ -4,9 +4,10 @@ These are throughput numbers for the building blocks every simulated
 operation passes through: the DES kernel's dispatch loops (zero-delay
 fast path, heap path, resource queue), the TSO/ESR decision +
 bookkeeping in the transaction manager, hierarchy charging, proper-value
-lookup, timestamp generation, and the transaction-language pipeline.
+lookup, timestamp generation, workload generation, and the
+transaction-language pipeline.
 
-The kernel/ledger workloads are the same callables ``repro bench-hotpath``
+The kernel/ledger/generator workloads are the same callables ``repro bench-hotpath``
 times for ``BENCH_hotpath.json``; here pytest-benchmark wraps them, so
 ``--benchmark-disable`` turns this file into an execution smoke test
 (CI runs it that way to keep the perf harness from rotting).
@@ -26,6 +27,7 @@ from repro.experiments.hotpath import (
     ledger_charge_workload,
     resource_churn_workload,
     timeout_dispatch_workload,
+    workload_generate_workload,
 )
 from repro.lang.compiler import format_program
 from repro.lang.parser import parse_program
@@ -56,6 +58,11 @@ def test_ledger_limited_path_charge(benchmark):
 def test_catalog_members_reverse_index(benchmark):
     """Member listing via the per-group reverse index."""
     benchmark(catalog_members_workload(calls=500, objects=2000))
+
+
+def test_workload_generation(benchmark):
+    """Paper-workload programs through the generator, one client's stream."""
+    benchmark(workload_generate_workload(programs=500))
 
 
 def _database(n: int = 200) -> Database:

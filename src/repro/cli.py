@@ -192,6 +192,19 @@ def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
                 f"\nrpc guard passed (bytes/op within {args.rpc_factor:g}x "
                 "of baseline)"
             )
+    if args.calls_guard:
+        problem = (
+            f"no baseline at {args.baseline}"
+            if baseline is None
+            else hotpath.check_calls_regression(baseline, report)
+        )
+        if problem:
+            print(f"\nsmoke calls-per-commit guard FAILED:\n  {problem}")
+            return 1
+        print(
+            f"\ncalls guard passed (calls/commit within "
+            f"{hotpath.CALLS_TOLERANCE:.0%} of baseline)"
+        )
     if args.quick:
         return 0
     if args.update or baseline is None:
@@ -587,6 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 if the process-shard channel's bytes/op regressed "
         "beyond --rpc-factor of the baseline (deterministic metric, "
         "safe to gate CI on)",
+    )
+    bench.add_argument(
+        "--calls-guard",
+        action="store_true",
+        help="exit 1 if the smoke figure's profiled calls per commit rose "
+        "more than 2%% over the baseline (deterministic, safe to gate CI on)",
     )
     bench.add_argument(
         "--rpc-factor",

@@ -2,11 +2,13 @@
 
 A handful of micro-workloads exercise exactly the code every simulated
 operation passes through — zero-delay event dispatch, heap-scheduled
-timeouts, FIFO resource churn, the hierarchy ledger walk, and the group
-member index — plus one *smoke figure*: a single representative
-:func:`~repro.sim.system.run_simulation` call timed wall-clock.  The
-suite writes/compares ``BENCH_hotpath.json`` so every future change to
-the kernel or the admission path has a perf trajectory to answer to.
+timeouts, FIFO resource churn, the hierarchy ledger walk, the group
+member index, and workload generation — plus one *smoke figure*: a
+single representative :func:`~repro.sim.system.run_simulation` call
+timed wall-clock and, separately, counted in profiled calls per commit
+(a deterministic figure CI can gate on).  The suite writes/compares
+``BENCH_hotpath.json`` so every future change to the kernel, the
+generator or the admission path has a perf trajectory to answer to.
 
 The same workload callables are wrapped by ``benchmarks/
 bench_micro_engine.py`` under pytest-benchmark; this module keeps them
@@ -16,8 +18,11 @@ dependency-free so the CLI can time them with plain ``perf_counter``
 
 from __future__ import annotations
 
+import cProfile
+import gc
 import json
 import platform
+import pstats
 import random
 import threading
 import time
@@ -31,6 +36,8 @@ from repro.engine.results import Granted
 from repro.perf import counters as _perf
 from repro.sim.des import Engine, Event, Resource, Timeout
 from repro.sim.system import SimulationConfig, run_simulation
+from repro.workload.generator import WorkloadGenerator, partition_for_site
+from repro.workload.spec import PAPER_WORKLOAD
 
 __all__ = [
     "MicroBench",
@@ -38,7 +45,9 @@ __all__ = [
     "ShardChannelConfig",
     "run_shard_channel",
     "check_rpc_regression",
+    "check_calls_regression",
     "smoke_config",
+    "smoke_calls_per_commit",
     "run_suite",
     "write_baseline",
     "load_baseline",
@@ -143,6 +152,18 @@ def catalog_members_workload(calls: int = 2000, objects: int = 2000) -> Callable
     return run
 
 
+def workload_generate_workload(programs: int = 2000) -> Callable[[], None]:
+    """Paper-workload programs through ``generate``, as one simulated client."""
+    partition = partition_for_site(PAPER_WORKLOAD, 1)
+
+    def run() -> None:
+        generator = WorkloadGenerator(PAPER_WORKLOAD, seed=1, partition=partition)
+        for _ in range(programs):
+            generator.generate(100_000.0, 10_000.0)
+
+    return run
+
+
 @dataclass(frozen=True)
 class MicroBench:
     """One micro-workload: a builder plus its operation count per call."""
@@ -159,6 +180,7 @@ MICRO_BENCHES: tuple[MicroBench, ...] = (
     MicroBench("resource_churn", resource_churn_workload, 40 * 500, "acquire-release"),
     MicroBench("ledger_charge", ledger_charge_workload, 200 * 100, "charges"),
     MicroBench("catalog_members", catalog_members_workload, 2000, "calls"),
+    MicroBench("workload_generate", workload_generate_workload, 2000, "programs"),
 )
 
 
@@ -355,6 +377,62 @@ def smoke_config() -> SimulationConfig:
     )
 
 
+#: Allowed rise of the smoke figure's profiled calls per commit over the
+#: baseline before ``--calls-guard`` fails.
+CALLS_TOLERANCE = 0.02
+
+
+def smoke_calls_per_commit(config: SimulationConfig | None = None) -> dict:
+    """Profiled calls per committed transaction on the smoke figure.
+
+    cProfile's total (Python functions and builtins) over one
+    :func:`run_simulation`.  The simulator is deterministic, so once the
+    process is warm the count repeats exactly — unlike wall time, it can
+    gate CI on a shared runner.  The cyclic collector is held off while
+    counting: it would otherwise finalise suspended generators left by
+    earlier work at arbitrary points and add their frames to the count.
+    """
+    if config is None:
+        config = smoke_config()
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        result = run_simulation(config)
+    finally:
+        profiler.disable()
+        if gc_was_enabled:
+            gc.enable()
+    calls = pstats.Stats(profiler).total_calls
+    return {
+        "profiled_calls": calls,
+        "commits": result.commits,
+        "calls_per_commit": round(calls / max(result.commits, 1), 1),
+    }
+
+
+def check_calls_regression(baseline: dict, current: dict) -> str | None:
+    """Fail if the smoke figure's calls per commit rose past the baseline.
+
+    Returns a failure message, or None when within
+    :data:`CALLS_TOLERANCE` of the recorded figure.  A baseline without the figure is a failure too: the
+    guard must never pass by not comparing.
+    """
+    base = baseline.get("smoke", {}).get("calls_per_commit")
+    if base is None:
+        return "baseline has no smoke calls_per_commit (refresh it with --update)"
+    cur = current["smoke"]["calls_per_commit"]
+    allowed = base * (1.0 + CALLS_TOLERANCE)
+    if cur > allowed:
+        return (
+            f"smoke calls/commit regressed: {cur:,.1f} > {allowed:,.1f} "
+            f"(baseline {base:,.1f} + {CALLS_TOLERANCE:.0%})"
+        )
+    return None
+
+
 # -- running -------------------------------------------------------------------
 
 
@@ -404,8 +482,13 @@ def run_suite(
             )
     config = smoke_config()
     smoke_best = _best_of(lambda: run_simulation(config), smoke_repeats)
+    # Counted after the timed runs, so lazy set-up is not in the count.
+    calls = smoke_calls_per_commit(config)
     if progress is not None:
-        progress(f"  smoke_figure: {smoke_best:.4f}s wall")
+        progress(
+            f"  smoke_figure: {smoke_best:.4f}s wall, "
+            f"{calls['calls_per_commit']:,.1f} calls/commit"
+        )
     return {
         "schema": SCHEMA_VERSION,
         "shard_channel": channel,
@@ -417,6 +500,7 @@ def run_suite(
         "micro": micro,
         "smoke": {
             "wall_s": round(smoke_best, 6),
+            **calls,
             "config": {
                 "mpl": config.mpl,
                 "protocol": config.protocol,
@@ -465,7 +549,11 @@ def format_report(report: dict) -> str:
             f"occupancy {channel['batch_occupancy']:.2f}  "
             f"{channel['round_trips_per_txn']:.1f} round-trips/txn"
         )
-    lines.append(f"  {'smoke_figure':<18} {report['smoke']['wall_s']:.4f}s wall")
+    smoke = report["smoke"]
+    lines.append(
+        f"  {'smoke_figure':<18} {smoke['wall_s']:.4f}s wall  "
+        f"{smoke['calls_per_commit']:,.1f} calls/commit"
+    )
     return "\n".join(lines)
 
 
@@ -509,4 +597,14 @@ def format_comparison(baseline: dict, current: dict) -> str:
     lines.append(
         f"{'smoke_figure (s)':<18} {base_wall:>14.4f} {cur_wall:>14.4f} {ratio:>8.2f}x"
     )
+    base_calls = baseline["smoke"].get("calls_per_commit")
+    cur_calls = current["smoke"]["calls_per_commit"]
+    if base_calls is None:
+        lines.append(f"{'calls/commit':<18} {'—':>14} {cur_calls:>14,.1f} {'new':>9}")
+    else:
+        # A cost, like wall time: ratio > 1 means fewer calls per commit.
+        lines.append(
+            f"{'calls/commit':<18} {base_calls:>14,.1f} {cur_calls:>14,.1f} "
+            f"{base_calls / cur_calls:>8.2f}x"
+        )
     return "\n".join(lines)

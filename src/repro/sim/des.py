@@ -294,7 +294,8 @@ class Resource:
     The resource also tracks busy time for utilisation reporting.
     """
 
-    __slots__ = ("_engine", "capacity", "_in_use", "_queue", "_busy_since", "busy_time")
+    __slots__ = ("_engine", "capacity", "_in_use", "_queue", "_busy_since",
+                 "busy_time", "_granted")
 
     def __init__(self, engine: Engine, capacity: int = 1):
         if capacity < 1:
@@ -305,19 +306,25 @@ class Resource:
         self._queue: deque[Event] = deque()
         self._busy_since: float | None = None
         self.busy_time = 0.0
+        #: Returned for every immediate grant.  Already triggered, so it
+        #: never collects waiters and can be shared: a process yielding
+        #: it resumes through the ready queue exactly as with a fresh one.
+        self._granted = Event()
+        self._granted.trigger()
 
     def acquire(self) -> Event:
         """Return an event that triggers once a unit is granted.
 
         The unit is considered held from the moment the returned event
-        triggers; the caller must eventually :meth:`release` it.
+        triggers; the caller must eventually :meth:`release` it.  A free
+        unit is granted at once, with a shared already-triggered event;
+        only a queued request gets an event of its own.
         """
-        grant = Event()
         if self._in_use < self.capacity:
             self._take()
-            grant.trigger()
-        else:
-            self._queue.append(grant)
+            return self._granted
+        grant = Event()
+        self._queue.append(grant)
         return grant
 
     def release(self) -> None:

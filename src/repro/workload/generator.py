@@ -131,10 +131,12 @@ class WorkloadGenerator:
         #: Group limits attached to every generated query (LIMIT lines);
         #: requires a database built ``with_groups``.
         self.query_group_limits: dict[str, float] = dict(query_group_limits or {})
+        # Only the small hot set gets a membership index; the cold pool is
+        # sampled as a tuple and never filtered per transaction, so a
+        # program's cost tracks its operation count, not the database size.
+        self._hot: frozenset[int] = frozenset(self.hot_set)
         self._cold_set: tuple[int, ...] = tuple(
-            object_id
-            for object_id in spec.object_ids
-            if object_id not in set(self.hot_set)
+            object_id for object_id in spec.object_ids if object_id not in self._hot
         )
 
     # -- object selection -------------------------------------------------------
@@ -150,13 +152,16 @@ class WorkloadGenerator:
             if self._rng.random() < spec.hot_access_fraction
         )
         want_hot = min(want_hot, len(self.hot_set), count)
-        chosen.update(self._rng.sample(list(self.hot_set), want_hot))
+        chosen.update(self._rng.sample(self.hot_set, want_hot))
         remaining = count - len(chosen)
         if remaining > 0:
-            pool = self._cold_set if self._cold_set else self.hot_set
-            extra = self._rng.sample(
-                [o for o in pool if o not in chosen], remaining
-            )
+            if self._cold_set:
+                # Hot picks never collide with the cold pool.
+                extra = self._rng.sample(self._cold_set, remaining)
+            else:
+                extra = self._rng.sample(
+                    [o for o in self.hot_set if o not in chosen], remaining
+                )
             chosen.update(extra)
         objects = list(chosen)
         self._rng.shuffle(objects)
@@ -212,9 +217,15 @@ class WorkloadGenerator:
         )
         writes = min(spec.writes_per_update, total_ops // 2, len(self.partition))
         extra_reads = total_ops - 2 * writes
-        write_targets = self._rng.sample(list(self.partition), writes)
-        read_pool = self._cold_set if self._cold_set else self.hot_set
-        candidates = [o for o in read_pool if o not in set(write_targets)]
+        write_targets = self._rng.sample(self.partition, writes)
+        if self._cold_set and self._hot.issuperset(write_targets):
+            # The usual case: hot write targets cannot collide with the
+            # cold padding reads.
+            candidates: tuple[int, ...] | list[int] = self._cold_set
+        else:
+            read_pool = self._cold_set or self.hot_set
+            targets = set(write_targets)
+            candidates = [o for o in read_pool if o not in targets]
         extra_reads = min(extra_reads, len(candidates))
         read_only = self._rng.sample(candidates, extra_reads)
         body: list[Statement] = []

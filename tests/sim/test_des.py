@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.des import Engine, Event, Resource, Timeout
+from repro.sim.des import Engine, Event, Process, Resource, Timeout
 
 
 class TestEngineBasics:
@@ -318,3 +318,96 @@ class TestResource:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             Resource(Engine(), capacity=0)
+
+
+class TestSharedImmediateGrant:
+    """A free unit is granted with one shared, already-triggered event."""
+
+    def test_free_unit_returns_triggered_event(self):
+        resource = Resource(Engine(), capacity=2)
+        first = resource.acquire()
+        second = resource.acquire()
+        assert first.triggered and second.triggered
+        assert first is second
+        queued = resource.acquire()
+        assert not queued.triggered
+        assert queued is not first
+
+    def test_retrigger_is_noop_and_collects_no_waiters(self):
+        engine = Engine()
+        resource = Resource(engine, capacity=1)
+        grant = resource.acquire()
+        grant.trigger()
+        assert grant.triggered
+        assert grant._add_waiter(Process(engine, iter(()))) is False
+        resumed = []
+
+        def waiter(name):
+            yield grant
+            resumed.append(name)
+
+        engine.spawn(waiter("a"))
+        engine.spawn(waiter("b"))
+        engine.run()
+        assert resumed == ["a", "b"]
+        assert grant._waiters == []
+        resource.release()
+        assert resource.acquire() is grant
+        assert grant._waiters == []
+
+    def test_fifo_with_capacity_two_under_free_and_queued_acquires(self):
+        """Immediate and queued grants interleave; order stays FIFO."""
+        engine = Engine()
+        resource = Resource(engine, capacity=2)
+        granted = []
+
+        def worker(name, arrival, hold):
+            yield Timeout(arrival)
+            yield resource.acquire()
+            granted.append((name, engine.now))
+            yield Timeout(hold)
+            resource.release()
+
+        # a, b take free units; c, d queue; e arrives after a unit has
+        # gone idle and takes it at once; f, g queue behind the holders.
+        for name, arrival, hold in [
+            ("a", 0.0, 3.0),
+            ("b", 0.0, 4.0),
+            ("c", 1.0, 1.0),
+            ("d", 2.0, 1.0),
+            ("e", 6.0, 2.0),
+            ("f", 6.0, 1.0),
+            ("g", 6.5, 1.0),
+        ]:
+            engine.spawn(worker(name, arrival, hold))
+        engine.run()
+        assert granted == [
+            ("a", 0.0), ("b", 0.0), ("c", 3.0), ("d", 4.0),
+            ("e", 6.0), ("f", 6.0), ("g", 7.0),
+        ]
+        assert resource.queued == 0
+
+    def test_busy_accounting_unchanged(self):
+        engine = Engine()
+        resource = Resource(engine, capacity=2)
+        snapshots = []
+
+        def worker(arrival, hold):
+            yield Timeout(arrival)
+            yield resource.acquire()
+            yield Timeout(hold)
+            resource.release()
+
+        def probe():
+            yield Timeout(15.0)
+            snapshots.append(resource.busy_snapshot())
+
+        # Busy (>= 1 unit held) over [0, 20) and [50, 60).
+        for arrival, hold in [(0.0, 10.0), (5.0, 15.0), (50.0, 10.0)]:
+            engine.spawn(worker(arrival, hold))
+        engine.spawn(probe())
+        engine.run(until=100.0)
+        assert snapshots == [15.0]
+        assert resource.busy_snapshot() == pytest.approx(30.0)
+        assert resource.utilisation(100.0) == pytest.approx(0.3)
+        assert resource.utilisation(100.0, since_busy=15.0) == pytest.approx(0.15)

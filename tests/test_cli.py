@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -97,6 +98,24 @@ class TestBenchHotpath:
         out = capsys.readouterr().out
         assert "vs. baseline" in out
         assert "speedup" in out
+
+
+    def test_calls_guard(self, tmp_path, capsys):
+        baseline = tmp_path / "BENCH_hotpath.json"
+        args = ["bench-hotpath", "--quick", "--calls-guard", "--baseline", str(baseline)]
+        assert main(args) == 1
+        assert "no baseline" in capsys.readouterr().out
+        assert main(
+            ["bench-hotpath", "--repeats", "1", "--baseline", str(baseline)]
+        ) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "calls guard passed" in capsys.readouterr().out
+        report = json.loads(baseline.read_text(encoding="utf-8"))
+        report["smoke"]["calls_per_commit"] *= 0.9
+        baseline.write_text(json.dumps(report), encoding="utf-8")
+        assert main(args) == 1
+        assert "calls-per-commit guard FAILED" in capsys.readouterr().out
 
 
 class TestGenWorkload:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.hierarchy import GroupCatalog, HierarchyLedger
 from repro.experiments import hotpath
 from repro.perf import PerfCounters, counters, profile_call
@@ -97,6 +99,31 @@ class TestHotpathSuite:
         assert loaded == report
         comparison = hotpath.format_comparison(loaded, report)
         assert "1.00x" in comparison
+
+    def test_smoke_calls_per_commit_repeats_exactly(self):
+        first = hotpath.smoke_calls_per_commit()
+        second = hotpath.smoke_calls_per_commit()
+        third = hotpath.smoke_calls_per_commit()
+        # The first run may include one-off lazy set-up; warm runs agree.
+        assert second == third
+        assert second["commits"] == first["commits"] > 0
+        assert second["calls_per_commit"] == pytest.approx(
+            second["profiled_calls"] / second["commits"], abs=0.05
+        )
+
+    def test_calls_guard_tolerance(self):
+        baseline = {"smoke": {"calls_per_commit": 1000.0}}
+
+        def current(value):
+            return {"smoke": {"calls_per_commit": value}}
+
+        assert hotpath.check_calls_regression(baseline, current(1000.0)) is None
+        assert hotpath.check_calls_regression(baseline, current(900.0)) is None
+        assert hotpath.check_calls_regression(baseline, current(1019.9)) is None
+        problem = hotpath.check_calls_regression(baseline, current(1020.1))
+        assert problem is not None and "regressed" in problem
+        # A baseline without the figure fails rather than passing unchecked.
+        assert hotpath.check_calls_regression({"smoke": {}}, current(1.0))
 
     def test_missing_or_bad_baseline_is_none(self, tmp_path):
         assert hotpath.load_baseline(tmp_path / "nope.json") is None
